@@ -159,8 +159,9 @@ impl PhaseCost {
 
 /// Per-phase attribution of the filter's arithmetic: where in the
 /// algorithm the substrate's ops and cycles are spent. Maintained by
-/// [`crate::filter::GenericBoresightFilter`] from ledger snapshots at
-/// phase boundaries, so it works unchanged on every substrate
+/// the IEKF kernel from ledger snapshots at phase boundaries and read
+/// through [`crate::filter::GenericBoresightFilter::phase_ledger`], so
+/// it works unchanged on every substrate
 /// (including [`F64ArithFast`], where every delta is zero).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseLedger {
@@ -721,18 +722,6 @@ impl Arith for SoftArith {
 pub struct QArith<const FRAC: u32> {
     counts: OpCounts,
 }
-
-/// Q16.16 saturating fixed point — the balanced split the paper's
-/// "obvious enhancement" proposes.
-///
-/// Deprecated: the alias predates the [`QArith`] format family and
-/// hides the fraction split that now matters everywhere (frontier
-/// sweeps, adaptive reconfiguration). Name the split explicitly.
-#[deprecated(
-    since = "0.8.0",
-    note = "use QArith<16> — the alias hides the Q-format split"
-)]
-pub type FixedArith = QArith<16>;
 
 impl<const FRAC: u32> QArith<FRAC> {
     /// Integer cycles for add/sub/neg/abs/compare on a 32-bit core.

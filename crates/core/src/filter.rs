@@ -6,31 +6,28 @@
 //! The misalignment is quasi-constant, so prediction is a random walk
 //! with small process noise; each two-axis accelerometer sample is a
 //! nonlinear measurement handled with the analytic Jacobian of
-//! [`crate::model`]. The covariance update uses the Joseph form and is
-//! re-symmetrized each step, keeping `P` positive definite over
-//! hour-long runs — the filter also reports the innovation and its
-//! 3-sigma bound, which is what the paper plots (Figure 8) and tunes
-//! against.
+//! [`crate::model`] and an iterated update. The covariance update uses
+//! the Joseph form and keeps `P` exactly symmetric and positive
+//! definite over hour-long runs — the filter also reports the
+//! innovation and its 3-sigma bound, which is what the paper plots
+//! (Figure 8) and tunes against.
 //!
-//! Since the generic-arithmetic refactor the whole algorithm runs over
-//! any [`Arith`] number system: [`GenericBoresightFilter<A>`] performs
-//! every scalar operation through the substrate, with the linear
-//! algebra shared with the 3-state ablation filter via
-//! [`crate::smallmat`]. The hot path is *structure-exploiting*: one
-//! fused trig/Jacobian evaluation per linearization point, the gate
-//! pass reused as IEKF iteration 0, an exactly symmetric `P` (so
-//! `P J^T` is a transposition of `J P`), a closed-form 2x2 innovation
-//! solve and a rank-2 packed Joseph update — every saved multiply is a
-//! saved cycle in the Softfloat/fixed-point ledgers, and the
-//! [`crate::arith::PhaseLedger`] attributes where the remaining ops
-//! land (predict / gate / update). [`BoresightFilter`] is the
+//! This module holds the filter's configuration, its update record and
+//! the scalar [`GenericBoresightFilter<A>`]; the algorithm itself is
+//! the one IEKF kernel in [`crate::lanes`], which steps `L` filters in
+//! lockstep with per-lane masking. The scalar filter is that kernel's
+//! one-lane case over [`LaneArith<A, 1>`], so it runs over any
+//! [`Arith`] number system and takes exactly a scalar filter's early
+//! returns: its op ledger and the [`crate::arith::PhaseLedger`]
+//! attribution (predict / gate / update) are those of a dedicated
+//! scalar implementation, op for op. [`BoresightFilter`] is the
 //! native-`f64` instantiation, pinned bit-for-bit against the
-//! reference trace in `tests/arith_full_filter.rs` (deliberately
-//! re-pinned for the kernel rewrite; the dense reference kernels stay
-//! compiled and cross-checked by proptest).
+//! reference trace in `tests/arith_full_filter.rs`, which also pins
+//! the Softfloat and Q16.16 op ledgers.
 
-use crate::arith::{Arith, F64Arith, OpCounts, PhaseLedger};
-use crate::model::{self, Meas, State, StateCov, MEAS_DIM, STATE_DIM};
+use crate::arith::{Arith, F64Arith, LaneArith, PhaseLedger};
+use crate::lanes::IekfKernel;
+use crate::model::{Meas, State, StateCov, STATE_DIM};
 use crate::smallmat;
 use mathx::{EulerAngles, Vec2, Vec3};
 
@@ -124,7 +121,8 @@ impl KalmanUpdate {
     }
 }
 
-/// The extended Kalman filter over an arbitrary [`Arith`] substrate.
+/// The extended Kalman filter over an arbitrary [`Arith`] substrate:
+/// the one-lane case of the lane IEKF kernel.
 ///
 /// # Examples
 ///
@@ -143,23 +141,7 @@ impl KalmanUpdate {
 /// ```
 #[derive(Clone, Debug)]
 pub struct GenericBoresightFilter<A: Arith> {
-    config: FilterConfig,
-    arith: A,
-    x: [A::T; STATE_DIM],
-    /// Kept **exactly symmetric** (bitwise): the update writes only
-    /// unique entries and mirrors them, prediction and the trust
-    /// region touch the diagonal only. The structure-exploiting update
-    /// kernels rely on this invariant (e.g. `P J^T` is read off `J P`
-    /// by transposition instead of a second 50-FMA product).
-    p: [[A::T; STATE_DIM]; STATE_DIM],
-    updates: u64,
-    rejected: u64,
-    phases: PhaseLedger,
-}
-
-/// `(counts, cycles)` snapshot for phase attribution.
-fn ledger_snapshot<A: Arith>(a: &A) -> (OpCounts, u64) {
-    (a.counts(), a.cycles())
+    kernel: IekfKernel<LaneArith<A, 1>, 1>,
 }
 
 /// The native-`f64` filter — the reference instantiation every
@@ -193,85 +175,67 @@ impl<A: Arith> GenericBoresightFilter<A> {
     /// Creates a filter over an explicit arithmetic context (e.g. a
     /// [`crate::arith::SoftArith`] whose FPU ledger the caller wants to
     /// keep reading).
-    pub fn with_arith(mut arith: A, config: FilterConfig) -> Self {
-        let zero = arith.num(0.0);
-        let a2 = config.initial_angle_sigma * config.initial_angle_sigma;
-        let b2 = if config.estimate_bias {
-            config.initial_bias_sigma * config.initial_bias_sigma
-        } else {
-            0.0
-        };
-        let mut p = [[zero; STATE_DIM]; STATE_DIM];
-        for (i, row) in p.iter_mut().enumerate() {
-            row[i] = if i < 3 { arith.num(a2) } else { arith.num(b2) };
-        }
+    pub fn with_arith(arith: A, config: FilterConfig) -> Self {
         Self {
-            config,
-            arith,
-            x: [zero; STATE_DIM],
-            p,
-            updates: 0,
-            rejected: 0,
-            phases: PhaseLedger::default(),
+            kernel: IekfKernel::new(LaneArith::new(arith), config),
         }
     }
 
     /// The arithmetic context (inspect for op counts / cycle ledgers).
     pub fn arith(&self) -> &A {
-        &self.arith
+        self.kernel.arith.inner()
     }
 
     /// The arithmetic context, mutably (the generic estimator runs its
     /// sensor-prep math through the same context so one ledger covers
     /// the whole algorithm).
     pub fn arith_mut(&mut self) -> &mut A {
-        &mut self.arith
+        self.kernel.arith.inner_mut()
     }
 
     /// The configuration (measurement sigma may have been retuned).
     pub fn config(&self) -> &FilterConfig {
-        &self.config
+        &self.kernel.config
     }
 
     /// Current measurement noise 1-sigma.
     pub fn measurement_sigma(&self) -> f64 {
-        self.config.measurement_sigma
+        self.kernel.sigmas[0]
     }
 
     /// Retunes the measurement noise (the adaptive monitor calls this).
     pub fn set_measurement_sigma(&mut self, sigma: f64) {
-        self.config.measurement_sigma = sigma.max(1e-6);
+        self.kernel.set_measurement_sigma(0, sigma);
+        self.kernel.config.measurement_sigma = self.kernel.sigmas[0];
     }
 
     /// Estimated misalignment angles.
     pub fn angles(&self) -> EulerAngles {
-        EulerAngles::new(
-            self.arith.to_f64(self.x[0]),
-            self.arith.to_f64(self.x[1]),
-            self.arith.to_f64(self.x[2]),
-        )
+        self.kernel.angles(0)
     }
 
     /// Estimated ACC biases, m/s^2.
     pub fn bias(&self) -> Vec2 {
-        Vec2::new([self.arith.to_f64(self.x[3]), self.arith.to_f64(self.x[4])])
+        self.kernel.bias(0)
     }
 
     /// Full state vector, converted to `f64`.
     pub fn state(&self) -> State {
+        let lane = self.kernel.export_lane(0);
         let mut out = State::zeros();
         for i in 0..STATE_DIM {
-            out[i] = self.arith.to_f64(self.x[i]);
+            out[i] = self.arith().to_f64(lane.x[i]);
         }
         out
     }
 
     /// State covariance, converted to `f64`.
     pub fn covariance(&self) -> StateCov {
+        let lane = self.kernel.export_lane(0);
         let mut out = StateCov::zeros();
         for r in 0..STATE_DIM {
             for c in 0..STATE_DIM {
-                out[(r, c)] = self.arith.to_f64(self.p[r][c]);
+                out[(r, c)] = self.arith().to_f64(lane.p[r][c]);
             }
         }
         out
@@ -284,53 +248,23 @@ impl<A: Arith> GenericBoresightFilter<A> {
     where
         A: Clone,
     {
-        let mut a = self.arith.clone();
-        let zero = a.num(0.0);
-        let mut out = [0.0; 3];
-        for (i, o) in out.iter_mut().enumerate() {
-            let m = a.max(self.p[i][i], zero);
-            let s = a.sqrt(m);
-            *o = a.to_f64(s);
-        }
-        Vec3::new(out)
+        self.kernel.angle_sigma(0)
     }
 
     /// Accepted updates so far.
     pub fn update_count(&self) -> u64 {
-        self.updates
+        self.kernel.updates[0]
     }
 
     /// Gate-rejected updates so far.
     pub fn rejected_count(&self) -> u64 {
-        self.rejected
+        self.kernel.rejected[0]
     }
 
-    /// Time propagation over `dt` seconds: the state transition is the
-    /// identity (a random walk), so the full `F P F^T + Q` collapses
-    /// to the symmetric diagonal bump `P += Q dt` — no dense products,
-    /// no work off the diagonal, symmetry preserved by construction.
+    /// Time propagation over `dt` seconds: the symmetric diagonal bump
+    /// `P += Q dt` of a random-walk state (nothing runs for `dt <= 0`).
     pub fn predict(&mut self, dt: f64) {
-        if dt <= 0.0 {
-            return;
-        }
-        let before = ledger_snapshot(&self.arith);
-        let qa = self.config.angle_process_density.powi(2) * dt;
-        let qb = if self.config.estimate_bias {
-            self.config.bias_process_density.powi(2) * dt
-        } else {
-            0.0
-        };
-        let a = &mut self.arith;
-        let qa_t = a.num(qa);
-        let qb_t = a.num(qb);
-        for i in 0..3 {
-            self.p[i][i] = a.add(self.p[i][i], qa_t);
-        }
-        for i in 3..STATE_DIM {
-            self.p[i][i] = a.add(self.p[i][i], qb_t);
-        }
-        let after = ledger_snapshot(&self.arith);
-        self.phases.predict.charge(before, after);
+        self.kernel.predict(&[dt]);
     }
 
     /// Where the substrate's ops and cycles were spent, by algorithm
@@ -339,7 +273,7 @@ impl<A: Arith> GenericBoresightFilter<A> {
     /// contexts — is the difference between [`Arith::counts`] and
     /// [`PhaseLedger::tracked_ops`].
     pub fn phase_ledger(&self) -> &PhaseLedger {
-        &self.phases
+        &self.kernel.phases
     }
 
     /// Measurement update with the ACC sample `z` (m/s^2, x'/y') given
@@ -352,188 +286,19 @@ impl<A: Arith> GenericBoresightFilter<A> {
     /// covariance is updated in Joseph form at the final
     /// linearization point.
     pub fn update(&mut self, z: Meas, f_b: Vec3, time_s: f64) -> KalmanUpdate {
-        let fb = [
-            self.arith.num(f_b[0]),
-            self.arith.num(f_b[1]),
-            self.arith.num(f_b[2]),
-        ];
+        let a = self.arith_mut();
+        let fb = [a.num(f_b[0]), a.num(f_b[1]), a.num(f_b[2])];
         self.update_t(z, fb, time_s)
     }
 
     /// [`Self::update`] with the specific force already in the
     /// substrate (the generic estimator's lever-arm and slope math
     /// produces it there).
-    ///
-    /// This is the structure-exploiting hot path: one fused
-    /// trig/Jacobian evaluation per linearization point
-    /// ([`model::h_and_jacobian_generic`]), the gate-pass model reused
-    /// verbatim for IEKF iteration 0 (its linearization point *is* the
-    /// prior), `S` accumulated in packed symmetric form, the 2x2
-    /// innovation solved closed-form ([`smallmat::inverse2_sym`]),
-    /// `P J^T` read off `J P` by transposition (valid because `P` is
-    /// kept exactly symmetric) and the Joseph update specialized to
-    /// the rank-2 measurement ([`smallmat::joseph_update_sym`]). The
-    /// dense reference kernels remain in [`crate::smallmat`] and the
-    /// optimized path is cross-checked against them by proptest.
     pub fn update_t(&mut self, z: Meas, f_b: [A::T; 3], time_s: f64) -> KalmanUpdate {
-        let gate_before = ledger_snapshot(&self.arith);
-        let r = self.config.measurement_sigma.powi(2);
-        let estimate_bias = self.config.estimate_bias;
-        let a = &mut self.arith;
-        let r_t = a.num(r);
-        let zero = a.num(0.0);
-        let zt = [a.num(z[0]), a.num(z[1])];
-        let x_pred = self.x;
-
-        // First-pass innovation and its sigma: this is what the
-        // residual monitor sees (z minus the prior prediction).
-        let (h0, jac0) = model_at(a, estimate_bias, &x_pred, &f_b);
-        let innov_t = [a.sub(zt[0], h0[0]), a.sub(zt[1], h0[1])];
-        let jp0 = smallmat::mul(a, &jac0, &self.p);
-        let s0 = smallmat::innovation_cov(a, &jp0, &jac0, r_t);
-        let m0 = a.max(s0[0][0], zero);
-        let sig0 = a.sqrt(m0);
-        let m1 = a.max(s0[1][1], zero);
-        let sig1 = a.sqrt(m1);
-        let innovation = Vec2::new([a.to_f64(innov_t[0]), a.to_f64(innov_t[1])]);
-        let sigma = Vec2::new([a.to_f64(sig0), a.to_f64(sig1)]);
-
-        // Gate on the per-axis normalized innovation.
-        if self.config.gate_sigmas > 0.0 {
-            let g = a.num(self.config.gate_sigmas);
-            let exceed0 = {
-                let ai = a.abs(innov_t[0]);
-                let gs = a.mul(g, sig0);
-                a.lt(gs, ai)
-            };
-            let exceeded = exceed0 || {
-                let ai = a.abs(innov_t[1]);
-                let gs = a.mul(g, sig1);
-                a.lt(gs, ai)
-            };
-            if exceeded {
-                self.rejected += 1;
-                self.phases
-                    .gate
-                    .charge(gate_before, ledger_snapshot(&self.arith));
-                return KalmanUpdate {
-                    time_s,
-                    innovation,
-                    innovation_sigma: sigma,
-                    accepted: false,
-                };
-            }
-        }
-        let update_before = ledger_snapshot(&self.arith);
-        self.phases.gate.charge(gate_before, update_before);
-
-        let a = &mut self.arith;
-        let iterations = self.config.iekf_iterations.max(1);
-        let eps = a.num(1e-12);
-        let mut x_i = x_pred;
-        // Iteration 0 relinearizes at x_i = x_pred — exactly where the
-        // gate pass just evaluated the model — so its h, J, J P and S
-        // are the gate's, reused, not recomputed.
-        let mut h_i = h0;
-        let mut jac = jac0;
-        let mut jp = jp0;
-        let mut s = s0;
-        let mut gain: Option<[[A::T; MEAS_DIM]; STATE_DIM]> = None;
-        for iter in 0..iterations {
-            if iter > 0 {
-                let (h, j) = model_at(a, estimate_bias, &x_i, &f_b);
-                h_i = h;
-                jac = j;
-                jp = smallmat::mul(a, &jac, &self.p);
-                s = smallmat::innovation_cov(a, &jp, &jac, r_t);
-            }
-            let s_inv = match smallmat::inverse2_sym(a, &s) {
-                Some(inv) => inv,
-                None => {
-                    self.rejected += 1;
-                    self.phases
-                        .update
-                        .charge(update_before, ledger_snapshot(&self.arith));
-                    return KalmanUpdate {
-                        time_s,
-                        innovation,
-                        innovation_sigma: sigma,
-                        accepted: false,
-                    };
-                }
-            };
-            // P J^T == (J P)^T entry for entry because P is exactly
-            // symmetric — pure data movement instead of 50 FMAs.
-            let pjt = smallmat::transpose(a, &jp);
-            let k = smallmat::mul(a, &pjt, &s_inv);
-            // IEKF residual: z - h(x_i) - H (x_pred - x_i).
-            let zh = [a.sub(zt[0], h_i[0]), a.sub(zt[1], h_i[1])];
-            let dx = smallmat::vec_sub(a, &x_pred, &x_i);
-            let jdx = smallmat::mat_vec(a, &jac, &dx);
-            let resid = [a.sub(zh[0], jdx[0]), a.sub(zh[1], jdx[1])];
-            let kr = smallmat::mat_vec(a, &k, &resid);
-            let x_next = smallmat::vec_add(a, &x_pred, &kr);
-            let dstep = smallmat::vec_sub(a, &x_next, &x_i);
-            let step = smallmat::vec_max_abs(a, &dstep);
-            x_i = x_next;
-            gain = Some(k);
-            if a.lt(step, eps) {
-                break;
-            }
-        }
-        let k = gain.expect("at least one iteration ran");
-        self.x = x_i;
-        if !estimate_bias {
-            self.x[3] = zero;
-            self.x[4] = zero;
-        }
-        // Rank-2 Joseph-form covariance update at the final
-        // linearization, upper triangle mirrored (keeps P exactly
-        // symmetric for the next update's transposition shortcut).
-        self.p = smallmat::joseph_update_sym(a, &self.p, &k, &jac, r_t);
-        self.apply_trust_region();
-        self.updates += 1;
-        self.phases
-            .update
-            .charge(update_before, ledger_snapshot(&self.arith));
-        KalmanUpdate {
-            time_s,
-            innovation,
-            innovation_sigma: sigma,
-            accepted: true,
-        }
-    }
-
-    /// Clamps the state to its physical trust region, re-opening the
-    /// variance of any clamped component (see [`FilterConfig`]).
-    fn apply_trust_region(&mut self) {
-        let a = &mut self.arith;
-        if self.config.angle_limit > 0.0 {
-            let lim = a.num(self.config.angle_limit);
-            let floor = a.num((self.config.initial_angle_sigma * 0.5).powi(2));
-            for i in 0..3 {
-                let ax = a.abs(self.x[i]);
-                if a.lt(lim, ax) {
-                    self.x[i] = clamp_sym(a, self.x[i], lim);
-                    if a.lt(self.p[i][i], floor) {
-                        self.p[i][i] = floor;
-                    }
-                }
-            }
-        }
-        if self.config.bias_limit > 0.0 && self.config.estimate_bias {
-            let lim = a.num(self.config.bias_limit);
-            let floor = a.num((self.config.initial_bias_sigma * 0.5).powi(2));
-            for i in 3..STATE_DIM {
-                let ax = a.abs(self.x[i]);
-                if a.lt(lim, ax) {
-                    self.x[i] = clamp_sym(a, self.x[i], lim);
-                    if a.lt(self.p[i][i], floor) {
-                        self.p[i][i] = floor;
-                    }
-                }
-            }
-        }
+        let [update] = self
+            .kernel
+            .update(&[z], f_b.map(|v| [v]), &[time_s], &[false]);
+        update
     }
 
     /// Checks that the covariance is still symmetric positive definite
@@ -544,14 +309,15 @@ impl<A: Arith> GenericBoresightFilter<A> {
     where
         A: Clone,
     {
-        let mut a = self.arith.clone();
-        let asym = smallmat::asymmetry(&mut a, &self.p);
+        let p = self.kernel.export_lane(0).p;
+        let mut a = self.arith().clone();
+        let asym = smallmat::asymmetry(&mut a, &p);
         let tol = a.num(1e-9);
         // "Not above tolerance" rather than "below": on a fixed-point
         // substrate the tolerance itself quantizes to zero, and the
         // exactly-mirrored covariance (asymmetry exactly zero) must
         // still count as symmetric.
-        !a.lt(tol, asym) && smallmat::cholesky_ok(&mut a, &self.p)
+        !a.lt(tol, asym) && smallmat::cholesky_ok(&mut a, &p)
     }
 
     /// Exports the filter's algorithmic state through `f64` — the
@@ -560,25 +326,23 @@ impl<A: Arith> GenericBoresightFilter<A> {
     /// entry once (conversions are uncounted, so the op and cycle
     /// ledgers are untouched).
     pub fn export_snapshot(&self) -> crate::adaptive::FilterSnapshot {
-        let mut x = [0.0; STATE_DIM];
-        for (out, value) in x.iter_mut().zip(self.x.iter()) {
-            *out = self.arith.to_f64(*value);
-        }
+        let lane = self.kernel.export_lane(0);
+        let a = self.arith();
         let mut p_upper = [0.0; crate::adaptive::snapshot::PACKED_COV];
         let mut k = 0;
         for i in 0..STATE_DIM {
             for j in i..STATE_DIM {
-                p_upper[k] = self.arith.to_f64(self.p[i][j]);
+                p_upper[k] = a.to_f64(lane.p[i][j]);
                 k += 1;
             }
         }
         crate::adaptive::FilterSnapshot {
-            x,
+            x: lane.x.map(|v| a.to_f64(v)),
             p_upper,
-            updates: self.updates,
-            rejected: self.rejected,
-            measurement_sigma: self.config.measurement_sigma,
-            phases: self.phases,
+            updates: lane.updates,
+            rejected: lane.rejected,
+            measurement_sigma: lane.sigma,
+            phases: self.kernel.phases,
         }
     }
 
@@ -592,10 +356,10 @@ impl<A: Arith> GenericBoresightFilter<A> {
     /// per-phase attribution carry over; the substrate's own op
     /// ledger is left untouched.
     pub fn import_snapshot(&mut self, snapshot: &crate::adaptive::FilterSnapshot) {
-        let quantum = crate::adaptive::positive_quantum(&mut self.arith);
-        for (slot, value) in self.x.iter_mut().zip(snapshot.x.iter()) {
-            *slot = self.arith.num(*value);
-        }
+        let mut lane = self.kernel.export_lane(0);
+        let a = self.arith_mut();
+        let quantum = crate::adaptive::positive_quantum(a);
+        lane.x = snapshot.x.map(|v| a.num(v));
         let mut k = 0;
         for i in 0..STATE_DIM {
             for j in i..STATE_DIM {
@@ -603,49 +367,18 @@ impl<A: Arith> GenericBoresightFilter<A> {
                 if i == j {
                     value = value.max(quantum);
                 }
-                let converted = self.arith.num(value);
-                self.p[i][j] = converted;
-                self.p[j][i] = converted;
+                let converted = a.num(value);
+                lane.p[i][j] = converted;
+                lane.p[j][i] = converted;
                 k += 1;
             }
         }
-        self.updates = snapshot.updates;
-        self.rejected = snapshot.rejected;
-        self.config.measurement_sigma = snapshot.measurement_sigma.max(1e-6);
-        self.phases = snapshot.phases;
+        lane.updates = snapshot.updates;
+        lane.rejected = snapshot.rejected;
+        self.kernel.import_lane(0, &lane);
+        self.set_measurement_sigma(snapshot.measurement_sigma);
+        self.kernel.phases = snapshot.phases;
     }
-}
-
-/// `x` clamped to `[-lim, lim]` (mirrors `f64::clamp`'s branch order).
-fn clamp_sym<A: Arith>(a: &mut A, x: A::T, lim: A::T) -> A::T {
-    let nlim = a.neg(lim);
-    if a.lt(x, nlim) {
-        nlim
-    } else if a.lt(lim, x) {
-        lim
-    } else {
-        x
-    }
-}
-
-/// Fused model + Jacobian evaluation with the bias columns masked when
-/// bias estimation is disabled. Shared with the lockstep lane filter
-/// ([`crate::lanes::LaneIekf`]), whose per-lane values must mirror
-/// this exact sequence.
-#[allow(clippy::type_complexity)]
-pub(crate) fn model_at<A: Arith>(
-    a: &mut A,
-    estimate_bias: bool,
-    x: &[A::T; STATE_DIM],
-    f_b: &[A::T; 3],
-) -> ([A::T; MEAS_DIM], [[A::T; STATE_DIM]; MEAS_DIM]) {
-    let (h, mut jac) = model::h_and_jacobian_generic(a, x, f_b);
-    if !estimate_bias {
-        let zero = a.num(0.0);
-        jac[0][3] = zero;
-        jac[1][4] = zero;
-    }
-    (h, jac)
 }
 
 #[cfg(test)]

@@ -1,26 +1,34 @@
-//! Multi-lane lockstep fusion: `L` independent 5-state IEKFs stepped
-//! through one shared instruction stream.
+//! The IEKF: `L` independent 5-state iterated EKFs stepped through one
+//! shared instruction stream — the repo's one implementation of the
+//! filter.
 //!
 //! The paper's FPGA argument is that a fixed algorithm earns its
 //! throughput from *replicated datapaths*, not faster sequencers. This
-//! module is the software mirror of that: [`LaneIekf`] keeps `L`
-//! filters' states in structure-of-arrays form and runs every
-//! arithmetic operation once per instruction across all lanes through
-//! the scalar substrate's [`LaneSpec`] lane form — the per-lane loop
+//! module is the software mirror of that: the kernel keeps `L` filters'
+//! states in structure-of-arrays form and runs every arithmetic
+//! operation once per instruction across all lanes through a lane
+//! context ([`LaneOps`]). [`LaneIekf`] runs it over the scalar
+//! substrate's [`LaneSpec`] lane form — the per-lane loop
 //! [`crate::arith::LaneArith`] for every counted/emulated/fixed-point
 //! substrate (on native `f64` the loops autovectorize, on emulated
 //! substrates the per-op dispatch overhead is amortized over `L`
 //! results), or the explicit-vector [`crate::simd::SimdArith`] when
-//! the filter is keyed on [`crate::simd::SimdF64`].
+//! the filter is keyed on [`crate::simd::SimdF64`]. The scalar
+//! [`crate::filter::GenericBoresightFilter`] is the same kernel at one
+//! lane over `LaneArith<A, 1>`.
 //!
 //! Lanes are *independent filters*, so per-lane control flow (the
 //! innovation gate, IEKF convergence, trust-region clamps, solver
 //! singularity) is handled the way a SIMD/FPGA datapath handles it:
-//! every lane executes every instruction, and diverging lanes have
-//! their writes masked. A masked lane burns its lane slot — exactly
-//! like an idle parallel datapath — but its value stream is
-//! **bit-identical** to a scalar [`crate::filter::GenericBoresightFilter`] run
-//! (pinned per-lane by `tests/lane_parity.rs`).
+//! every live lane executes every instruction, and diverging lanes
+//! have their writes masked. A masked lane burns its lane slot —
+//! exactly like an idle parallel datapath — but its value stream is
+//! **bit-identical** to a one-lane run (pinned per lane by
+//! `tests/lane_parity.rs`). A block of instructions runs only while
+//! some lane still needs it, so at one lane the kernel takes exactly a
+//! scalar filter's early returns and short-circuits, and its op ledger
+//! is a scalar filter's op for op (pinned by
+//! `tests/arith_full_filter.rs`).
 //!
 //! [`LaneBank`] packages a lane filter plus the shared IMU front end
 //! ([`ImuPrep`]) and per-lane residual monitors as a
@@ -32,16 +40,17 @@
 // writes of a SIMD datapath (and the matrix equations behind them).
 #![allow(clippy::needless_range_loop)]
 
-use crate::arith::{Arith, LaneOps, LaneSpec};
+use crate::arith::{Arith, LaneOps, LaneSpec, OpCounts, PhaseLedger};
 use crate::estimator::{EstimatorConfig, ImuPrep, MisalignmentEstimate};
-use crate::filter::{model_at, FilterConfig, KalmanUpdate};
-use crate::model::{MEAS_DIM, STATE_DIM};
+use crate::filter::{FilterConfig, KalmanUpdate};
+use crate::model::{self, MEAS_DIM, STATE_DIM};
 use crate::monitor::{ResidualMonitor, Retune};
 use crate::session::FusionBackend;
 use crate::smallmat;
 use mathx::{EulerAngles, Vec2, Vec3};
 use sensors::DmuSample;
 use std::any::Any;
+use std::ops::IndexMut;
 
 /// The lane value stepping `L` scalars of substrate `A` at once —
 /// `[A::T; L]` for [`crate::arith::LaneArith`] lanes,
@@ -50,27 +59,18 @@ use std::any::Any;
 type LaneT<A, const L: usize> = <<A as LaneSpec<L>>::Lanes as Arith>::T;
 
 /// `L` independent 5-state iterated EKFs in lockstep over the inner
-/// substrate `A`.
+/// substrate `A`: the IEKF kernel over `A`'s [`LaneSpec`] lane form.
 ///
-/// Mirrors the structure-exploiting scalar update of
-/// [`crate::filter::GenericBoresightFilter`] instruction for instruction; lanes that
-/// diverge in control flow (gate rejection, convergence, singular
-/// innovation) have their state writes masked so each lane's result is
-/// bit-identical to its scalar run.
+/// Lanes that diverge in control flow (gate rejection, convergence,
+/// singular innovation, trust-region clamps) have their state writes
+/// masked, so each lane's result is bit-identical to a one-lane run —
+/// a [`crate::filter::GenericBoresightFilter`] — fed only that lane's
+/// measurements.
 ///
 /// All lanes share one [`FilterConfig`]; the measurement sigma is
 /// per-lane (adaptive retunes fire independently).
 #[derive(Clone, Debug)]
-pub struct LaneIekf<A: LaneSpec<L>, const L: usize> {
-    config: FilterConfig,
-    arith: A::Lanes,
-    sigmas: [f64; L],
-    x: [LaneT<A, L>; STATE_DIM],
-    /// Kept exactly symmetric per lane, like the scalar filter's.
-    p: [[LaneT<A, L>; STATE_DIM]; STATE_DIM],
-    updates: [u64; L],
-    rejected: [u64; L],
-}
+pub struct LaneIekf<A: LaneSpec<L>, const L: usize>(IekfKernel<A::Lanes, L>);
 
 impl<A: LaneSpec<L>, const L: usize> LaneIekf<A, L> {
     /// Creates the lane filter over the substrate's default context.
@@ -83,27 +83,10 @@ impl<A: LaneSpec<L>, const L: usize> LaneIekf<A, L> {
 
     /// Creates the lane filter over an explicit inner context.
     pub fn with_arith(inner: A, config: FilterConfig) -> Self {
-        let mut arith = <A::Lanes as LaneOps<L>>::with_inner(inner);
-        let zero = arith.num(0.0);
-        let a2 = config.initial_angle_sigma * config.initial_angle_sigma;
-        let b2 = if config.estimate_bias {
-            config.initial_bias_sigma * config.initial_bias_sigma
-        } else {
-            0.0
-        };
-        let mut p = [[zero; STATE_DIM]; STATE_DIM];
-        for (i, row) in p.iter_mut().enumerate() {
-            row[i] = if i < 3 { arith.num(a2) } else { arith.num(b2) };
-        }
-        Self {
+        Self(IekfKernel::new(
+            <A::Lanes as LaneOps<L>>::with_inner(inner),
             config,
-            arith,
-            sigmas: [config.measurement_sigma; L],
-            x: [zero; STATE_DIM],
-            p,
-            updates: [0; L],
-            rejected: [0; L],
-        }
+        ))
     }
 
     /// Number of lanes.
@@ -113,32 +96,260 @@ impl<A: LaneSpec<L>, const L: usize> LaneIekf<A, L> {
 
     /// The lane arithmetic context (one shared ledger for all lanes).
     pub fn arith(&self) -> &A::Lanes {
-        &self.arith
+        &self.0.arith
     }
 
     /// The lane arithmetic context, mutably (substrate `num`
     /// conversions mutate the instrumentation ledger).
     pub fn arith_mut(&mut self) -> &mut A::Lanes {
-        &mut self.arith
+        &mut self.0.arith
     }
 
     /// The configuration shared by every lane.
     pub fn config(&self) -> &FilterConfig {
-        &self.config
+        &self.0.config
     }
 
     /// One lane's measurement noise 1-sigma.
     pub fn measurement_sigma(&self, lane: usize) -> f64 {
-        self.sigmas[lane]
+        self.0.sigmas[lane]
     }
 
     /// Retunes one lane's measurement noise.
     pub fn set_measurement_sigma(&mut self, lane: usize, sigma: f64) {
-        self.sigmas[lane] = sigma.max(1e-6);
+        self.0.set_measurement_sigma(lane, sigma);
     }
 
     /// One lane's estimated misalignment.
     pub fn angles(&self, lane: usize) -> EulerAngles {
+        self.0.angles(lane)
+    }
+
+    /// One lane's estimated ACC biases, m/s^2.
+    pub fn bias(&self, lane: usize) -> Vec2 {
+        self.0.bias(lane)
+    }
+
+    /// One lane's per-angle 1-sigma, rad (a read-out over a cloned
+    /// context, outside the op ledger).
+    pub fn angle_sigma(&self, lane: usize) -> Vec3
+    where
+        A: Clone,
+    {
+        self.0.angle_sigma(lane)
+    }
+
+    /// One lane's accepted-update count.
+    pub fn update_count(&self, lane: usize) -> u64 {
+        self.0.updates[lane]
+    }
+
+    /// One lane's gate-rejected count.
+    pub fn rejected_count(&self, lane: usize) -> u64 {
+        self.0.rejected[lane]
+    }
+
+    /// One lane's estimate with confidence.
+    pub fn estimate(&self, lane: usize) -> MisalignmentEstimate
+    where
+        A: Clone,
+    {
+        MisalignmentEstimate {
+            angles: self.angles(lane),
+            one_sigma: self.angle_sigma(lane),
+            updates: self.update_count(lane),
+        }
+    }
+
+    /// Exports one lane's complete filter state (state vector,
+    /// covariance, adaptive sigma, counters) for migration into
+    /// another lane — the primitive behind the fleet arena's
+    /// compact-on-evict slot moves.
+    pub fn export_lane(&self, lane: usize) -> LaneState<A> {
+        self.0.export_lane(lane)
+    }
+
+    /// Imports a previously exported lane state into `lane`,
+    /// overwriting it bit-for-bit. Other lanes are untouched.
+    pub fn import_lane(&mut self, lane: usize, state: &LaneState<A>) {
+        self.0.import_lane(lane, state);
+    }
+
+    /// Re-initializes one lane to the fresh-filter state, so a recycled
+    /// slot is indistinguishable from a newly constructed filter.
+    pub fn reset_lane(&mut self, lane: usize) {
+        self.0.reset_lane(lane);
+    }
+
+    /// Time propagation, all lanes at once (lanes run in lockstep on a
+    /// common schedule): the symmetric diagonal bump `P += Q dt`.
+    pub fn predict(&mut self, dt: f64) {
+        self.0.predict(&[dt; L]);
+    }
+
+    /// Time propagation with a distinct `dt` per lane (fleet lanes hold
+    /// unrelated vehicles on unsynchronized measurement schedules).
+    /// Lanes with `dt <= 0` are untouched, so each lane's covariance
+    /// stream stays bit-identical to a one-lane run on its own schedule.
+    pub fn predict_lanes(&mut self, dts: &[f64; L]) {
+        self.0.predict(dts);
+    }
+
+    /// Measurement update, all lanes at once: lane `i` fuses `z[i]`
+    /// against the shared body specific force `f_b` (the
+    /// one-IMU-many-sensors configuration). Returns each lane's update
+    /// record.
+    pub fn update_shared_force(
+        &mut self,
+        z: &[Vec2; L],
+        f_b: [A::T; 3],
+        time_s: f64,
+    ) -> [KalmanUpdate; L] {
+        let a = &mut self.0.arith;
+        let fb = f_b.map(|v| a.splat(v));
+        self.0.update(z, fb, &[time_s; L], &[false; L])
+    }
+
+    /// Measurement update with a distinct specific force per lane
+    /// (independent scenarios in lockstep).
+    pub fn update_lanes(
+        &mut self,
+        z: &[Vec2; L],
+        f_b: &[Vec3; L],
+        time_s: f64,
+    ) -> [KalmanUpdate; L] {
+        let a = &mut self.0.arith;
+        let zero = a.inner_mut().num(0.0);
+        let mut fb = [a.splat(zero); 3];
+        for axis in 0..3 {
+            for lane in 0..L {
+                fb[axis][lane] = a.inner_mut().num(f_b[lane][axis]);
+            }
+        }
+        self.0.update(z, fb, &[time_s; L], &[false; L])
+    }
+
+    /// Measurement update for a subset of lanes: lane `i` participates
+    /// only when `active[i]`; inactive lanes keep their state,
+    /// covariance and counters bit-for-bit and return `None`. Each
+    /// active lane carries its own timestamp (fleet lanes hold
+    /// unrelated vehicles whose measurements merely landed in the same
+    /// batch window).
+    ///
+    /// Inactive lanes still execute the shared instruction stream with
+    /// masked writes — exactly how gate-rejected lanes are handled —
+    /// so every active lane's result stays bit-identical to a one-lane
+    /// filter fed only that lane's schedule.
+    pub fn update_lanes_masked(
+        &mut self,
+        z: &[Vec2; L],
+        f_b: [LaneT<A, L>; 3],
+        times: &[f64; L],
+        active: &[bool; L],
+    ) -> [Option<KalmanUpdate>; L] {
+        let inactive: [bool; L] = std::array::from_fn(|lane| !active[lane]);
+        let updates = self.0.update(z, f_b, times, &inactive);
+        std::array::from_fn(|lane| active[lane].then(|| updates[lane]))
+    }
+}
+
+/// One lane's complete filter state, detached from its lane slot.
+///
+/// Produced by [`LaneIekf::export_lane`] and consumed by
+/// [`LaneIekf::import_lane`]; a round trip through a `LaneState` is
+/// bit-exact, so the fleet arena can move a vehicle between slots
+/// (compaction on eviction) without perturbing its estimate stream.
+#[derive(Clone, Debug)]
+pub struct LaneState<A: Arith> {
+    pub(crate) x: [A::T; STATE_DIM],
+    pub(crate) p: [[A::T; STATE_DIM]; STATE_DIM],
+    pub(crate) sigma: f64,
+    pub(crate) updates: u64,
+    pub(crate) rejected: u64,
+}
+
+/// `(counts, cycles)` snapshot of a ledger, for phase attribution.
+fn ledger_snapshot<A: Arith>(a: &A) -> (OpCounts, u64) {
+    (a.counts(), a.cycles())
+}
+
+/// The IEKF: `L` independent 5-state iterated EKFs over the
+/// `[phi, theta, psi, bx, by]` state, stepped through one instruction
+/// stream on the lane context `LA`.
+///
+/// [`LaneIekf`] is this kernel over a substrate's [`LaneSpec`] lane
+/// form; [`crate::filter::GenericBoresightFilter`] is its one-lane case
+/// over [`LaneArith<A, 1>`](crate::arith::LaneArith), which serves
+/// every [`Arith`].
+///
+/// The update is structure-exploiting: one fused trig/Jacobian
+/// evaluation per linearization point, the gate pass reused as IEKF
+/// iteration 0 (its linearization point *is* the prior), `S`
+/// accumulated in packed symmetric form, the 2x2 innovation solved in
+/// closed form, `P J^T` read off `J P` by transposition (valid because
+/// `P` is kept exactly symmetric) and the Joseph update specialized to
+/// the rank-2 measurement ([`smallmat::joseph_update_sym`]).
+///
+/// Per-lane control flow is handled the way a SIMD/FPGA datapath
+/// handles it: every live lane executes every instruction, and a lane
+/// that leaves the common path has its writes masked. An instruction
+/// block runs only while some lane still needs it — the gate's second
+/// axis, the rest of a singular solve, the trust-region negation, the
+/// IEKF iterations and the Joseph update are skipped once every lane
+/// is masked — so at `L = 1` the kernel takes exactly the early
+/// returns and short-circuits of a scalar filter, and its op ledger
+/// (counts, modelled cycles, saturation events) is the scalar's op for
+/// op. The [`PhaseLedger`] attributes those ops to predict, gate and
+/// update.
+#[derive(Clone, Debug)]
+pub(crate) struct IekfKernel<LA: LaneOps<L>, const L: usize>
+where
+    LA::T: IndexMut<usize, Output = <LA::Inner as Arith>::T>,
+{
+    pub(crate) config: FilterConfig,
+    pub(crate) arith: LA,
+    pub(crate) sigmas: [f64; L],
+    x: [LA::T; STATE_DIM],
+    /// Kept **exactly symmetric** (bitwise) per lane: the update writes
+    /// only unique entries and mirrors them, prediction and the trust
+    /// region touch the diagonal only — the transposition shortcut for
+    /// `P J^T` relies on it.
+    p: [[LA::T; STATE_DIM]; STATE_DIM],
+    pub(crate) updates: [u64; L],
+    pub(crate) rejected: [u64; L],
+    pub(crate) phases: PhaseLedger,
+}
+
+impl<LA: LaneOps<L>, const L: usize> IekfKernel<LA, L>
+where
+    LA::T: IndexMut<usize, Output = <LA::Inner as Arith>::T>,
+{
+    /// A kernel with every lane at the fresh-filter state.
+    pub(crate) fn new(mut arith: LA, config: FilterConfig) -> Self {
+        let zero = arith.num(0.0);
+        let mut kernel = Self {
+            config,
+            arith,
+            sigmas: [config.measurement_sigma; L],
+            x: [zero; STATE_DIM],
+            p: [[zero; STATE_DIM]; STATE_DIM],
+            updates: [0; L],
+            rejected: [0; L],
+            phases: PhaseLedger::default(),
+        };
+        for lane in 0..L {
+            kernel.reset_lane(lane);
+        }
+        kernel
+    }
+
+    /// Retunes one lane's measurement noise.
+    pub(crate) fn set_measurement_sigma(&mut self, lane: usize, sigma: f64) {
+        self.sigmas[lane] = sigma.max(1e-6);
+    }
+
+    /// One lane's estimated misalignment.
+    pub(crate) fn angles(&self, lane: usize) -> EulerAngles {
         EulerAngles::new(
             self.arith.lane_to_f64(&self.x[0], lane),
             self.arith.lane_to_f64(&self.x[1], lane),
@@ -147,18 +358,17 @@ impl<A: LaneSpec<L>, const L: usize> LaneIekf<A, L> {
     }
 
     /// One lane's estimated ACC biases, m/s^2.
-    pub fn bias(&self, lane: usize) -> Vec2 {
+    pub(crate) fn bias(&self, lane: usize) -> Vec2 {
         Vec2::new([
             self.arith.lane_to_f64(&self.x[3], lane),
             self.arith.lane_to_f64(&self.x[4], lane),
         ])
     }
 
-    /// One lane's per-angle 1-sigma, rad (read-out over a cloned
-    /// context, like the scalar filter's).
-    pub fn angle_sigma(&self, lane: usize) -> Vec3
+    /// One lane's per-angle 1-sigma, rad, over a cloned inner context.
+    pub(crate) fn angle_sigma(&self, lane: usize) -> Vec3
     where
-        A: Clone,
+        LA::Inner: Clone,
     {
         let mut a = self.arith.inner().clone();
         let zero = a.num(0.0);
@@ -171,33 +381,8 @@ impl<A: LaneSpec<L>, const L: usize> LaneIekf<A, L> {
         Vec3::new(out)
     }
 
-    /// One lane's accepted-update count.
-    pub fn update_count(&self, lane: usize) -> u64 {
-        self.updates[lane]
-    }
-
-    /// One lane's gate-rejected count.
-    pub fn rejected_count(&self, lane: usize) -> u64 {
-        self.rejected[lane]
-    }
-
-    /// One lane's estimate with confidence.
-    pub fn estimate(&self, lane: usize) -> MisalignmentEstimate
-    where
-        A: Clone,
-    {
-        MisalignmentEstimate {
-            angles: self.angles(lane),
-            one_sigma: self.angle_sigma(lane),
-            updates: self.updates[lane],
-        }
-    }
-
-    /// Exports one lane's complete filter state (state vector,
-    /// covariance, adaptive sigma, counters) for migration into
-    /// another lane — the primitive behind the fleet arena's
-    /// compact-on-evict slot moves.
-    pub fn export_lane(&self, lane: usize) -> LaneState<A> {
+    /// One lane's complete state.
+    pub(crate) fn export_lane(&self, lane: usize) -> LaneState<LA::Inner> {
         LaneState {
             x: std::array::from_fn(|i| self.x[i][lane]),
             p: std::array::from_fn(|r| std::array::from_fn(|c| self.p[r][c][lane])),
@@ -207,9 +392,8 @@ impl<A: LaneSpec<L>, const L: usize> LaneIekf<A, L> {
         }
     }
 
-    /// Imports a previously exported lane state into `lane`,
-    /// overwriting it bit-for-bit. Other lanes are untouched.
-    pub fn import_lane(&mut self, lane: usize, state: &LaneState<A>) {
+    /// Overwrites one lane's state bit-for-bit.
+    pub(crate) fn import_lane(&mut self, lane: usize, state: &LaneState<LA::Inner>) {
         for i in 0..STATE_DIM {
             self.x[i][lane] = state.x[i];
             for j in 0..STATE_DIM {
@@ -221,10 +405,9 @@ impl<A: LaneSpec<L>, const L: usize> LaneIekf<A, L> {
         self.rejected[lane] = state.rejected;
     }
 
-    /// Re-initializes one lane to the fresh-filter state (the per-lane
-    /// mirror of [`Self::with_arith`]'s init), so a recycled slot is
-    /// indistinguishable from a newly constructed filter.
-    pub fn reset_lane(&mut self, lane: usize) {
+    /// Puts one lane at the fresh-filter state: zero state, diagonal
+    /// prior covariance, configured sigma, zero counters.
+    pub(crate) fn reset_lane(&mut self, lane: usize) {
         let a2 = self.config.initial_angle_sigma * self.config.initial_angle_sigma;
         let b2 = if self.config.estimate_bias {
             self.config.initial_bias_sigma * self.config.initial_bias_sigma
@@ -252,38 +435,15 @@ impl<A: LaneSpec<L>, const L: usize> LaneIekf<A, L> {
         self.rejected[lane] = 0;
     }
 
-    /// Time propagation, all lanes at once (lanes run in lockstep on a
-    /// common schedule): the symmetric diagonal bump `P += Q dt`.
-    pub fn predict(&mut self, dt: f64) {
-        if dt <= 0.0 {
-            return;
-        }
-        let qa = self.config.angle_process_density.powi(2) * dt;
-        let qb = if self.config.estimate_bias {
-            self.config.bias_process_density.powi(2) * dt
-        } else {
-            0.0
-        };
-        let a = &mut self.arith;
-        let qa_t = a.num(qa);
-        let qb_t = a.num(qb);
-        for i in 0..3 {
-            self.p[i][i] = a.add(self.p[i][i], qa_t);
-        }
-        for i in 3..STATE_DIM {
-            self.p[i][i] = a.add(self.p[i][i], qb_t);
-        }
-    }
-
-    /// Time propagation with a distinct `dt` per lane (fleet lanes hold
-    /// unrelated vehicles on unsynchronized measurement schedules).
-    /// Lanes with `dt <= 0` are untouched — the per-lane mirror of the
-    /// scalar filter's early return — so each lane's covariance stream
-    /// stays bit-identical to a scalar filter run on its own schedule.
-    pub fn predict_lanes(&mut self, dts: &[f64; L]) {
+    /// Time propagation over a per-lane `dt`: the state transition is
+    /// the identity (a random walk), so `F P F^T + Q` collapses to the
+    /// symmetric diagonal bump `P += Q dt`. Lanes with `dt <= 0` are
+    /// untouched; when every lane has one, nothing runs.
+    pub(crate) fn predict(&mut self, dts: &[f64; L]) {
         if dts.iter().all(|&dt| dt <= 0.0) {
             return;
         }
+        let before = ledger_snapshot(&self.arith);
         let qa: [f64; L] = dts.map(|dt| {
             if dt > 0.0 {
                 self.config.angle_process_density.powi(2) * dt
@@ -310,76 +470,28 @@ impl<A: LaneSpec<L>, const L: usize> LaneIekf<A, L> {
                 }
             }
         }
+        self.phases
+            .predict
+            .charge(before, ledger_snapshot(&self.arith));
     }
 
-    /// Measurement update, all lanes at once: lane `i` fuses `z[i]`
-    /// against the shared body specific force `f_b` (the
-    /// one-IMU-many-sensors configuration). Returns each lane's update
-    /// record.
-    pub fn update_shared_force(
-        &mut self,
-        z: &[Vec2; L],
-        f_b: [A::T; 3],
-        time_s: f64,
-    ) -> [KalmanUpdate; L] {
-        let a = &mut self.arith;
-        let fb = f_b.map(|v| a.splat(v));
-        self.update_lanes_t(z, fb, &[time_s; L], &[false; L])
-    }
-
-    /// Measurement update with a distinct specific force per lane
-    /// (independent scenarios in lockstep).
-    pub fn update_lanes(
-        &mut self,
-        z: &[Vec2; L],
-        f_b: &[Vec3; L],
-        time_s: f64,
-    ) -> [KalmanUpdate; L] {
-        let zero = self.arith.inner_mut().num(0.0);
-        let mut fb = [self.arith.splat(zero); 3];
-        for axis in 0..3 {
-            for lane in 0..L {
-                fb[axis][lane] = self.arith.inner_mut().num(f_b[lane][axis]);
-            }
-        }
-        self.update_lanes_t(z, fb, &[time_s; L], &[false; L])
-    }
-
-    /// Measurement update for a subset of lanes: lane `i` participates
-    /// only when `active[i]`; inactive lanes keep their state,
-    /// covariance and counters bit-for-bit and return `None`. Each
-    /// active lane carries its own timestamp (fleet lanes hold
-    /// unrelated vehicles whose measurements merely landed in the same
-    /// batch window).
+    /// Measurement update of every lane not marked `inactive`: lane `i`
+    /// fuses the ACC sample `z[i]` (m/s^2, x'/y') against the specific
+    /// force `f_b[..][i]`, relinearizing
+    /// [`FilterConfig::iekf_iterations`] times around the improving
+    /// estimate (Gauss-Newton on the MAP objective) before the Joseph
+    /// covariance update at the final linearization point.
     ///
-    /// Inactive lanes still execute the shared instruction stream with
-    /// masked writes — exactly how gate-rejected lanes are handled —
-    /// so every active lane's result stays bit-identical to a scalar
-    /// filter fed only that lane's schedule.
-    pub fn update_lanes_masked(
+    /// `inactive` lanes keep state, covariance and counters
+    /// bit-for-bit; their returned records are meaningless.
+    pub(crate) fn update(
         &mut self,
         z: &[Vec2; L],
-        f_b: [LaneT<A, L>; 3],
-        times: &[f64; L],
-        active: &[bool; L],
-    ) -> [Option<KalmanUpdate>; L] {
-        let inactive: [bool; L] = std::array::from_fn(|lane| !active[lane]);
-        let updates = self.update_lanes_t(z, f_b, times, &inactive);
-        std::array::from_fn(|lane| active[lane].then(|| updates[lane]))
-    }
-
-    /// The lockstep mirror of the scalar filter's `update_t`.
-    ///
-    /// `inactive` lanes are frozen from the start: they execute every
-    /// instruction with writes masked (state, covariance, counters all
-    /// untouched) and their returned records are meaningless.
-    fn update_lanes_t(
-        &mut self,
-        z: &[Vec2; L],
-        f_b: [LaneT<A, L>; 3],
+        f_b: [LA::T; 3],
         times: &[f64; L],
         inactive: &[bool; L],
     ) -> [KalmanUpdate; L] {
+        let gate_before = ledger_snapshot(&self.arith);
         let estimate_bias = self.config.estimate_bias;
         let a = &mut self.arith;
         let r_t = {
@@ -393,8 +505,9 @@ impl<A: LaneSpec<L>, const L: usize> LaneIekf<A, L> {
         ];
         let x_pred = self.x;
 
-        // --- Gate pass (identical instruction stream to the scalar
-        // filter; decisions extracted per lane) -----------------------
+        // --- Gate pass: the first-pass innovation and its sigma, which
+        // is what the residual monitor sees (z minus the prior
+        // prediction) ---------------------------------------------------
         let (h0, jac0) = model_at(a, estimate_bias, &x_pred, &f_b);
         let innov_t = [a.sub(zt[0], h0[0]), a.sub(zt[1], h0[1])];
         let jp0 = smallmat::mul(a, &jac0, &self.p);
@@ -404,38 +517,47 @@ impl<A: LaneSpec<L>, const L: usize> LaneIekf<A, L> {
         let m1 = a.max(s0[1][1], zero);
         let sig1 = a.sqrt(m1);
 
-        let mut rejectd = [false; L];
+        // A lane is rejected by the first axis whose normalized
+        // innovation exceeds the gate; an axis is only tested while
+        // some lane is still undecided. `frozen` lanes (inactive,
+        // rejected, singular, converged) have every later write masked.
+        let mut rejected = [false; L];
+        let mut frozen = *inactive;
         if self.config.gate_sigmas > 0.0 {
             let g = a.num(self.config.gate_sigmas);
-            let ai0 = a.abs(innov_t[0]);
-            let gs0 = a.mul(g, sig0);
-            let exceed0 = a.lane_lt(&gs0, &ai0);
-            let ai1 = a.abs(innov_t[1]);
-            let gs1 = a.mul(g, sig1);
-            let exceed1 = a.lane_lt(&gs1, &ai1);
-            for lane in 0..L {
-                rejectd[lane] = !inactive[lane] && (exceed0[lane] || exceed1[lane]);
+            for (innov, sig) in [(innov_t[0], sig0), (innov_t[1], sig1)] {
+                if frozen.iter().all(|f| *f) {
+                    break;
+                }
+                let ai = a.abs(innov);
+                let gs = a.mul(g, sig);
+                let exceed = a.lane_lt(&gs, &ai);
+                for lane in 0..L {
+                    if exceed[lane] && !frozen[lane] {
+                        rejected[lane] = true;
+                        frozen[lane] = true;
+                    }
+                }
             }
         }
+        let update_before = ledger_snapshot(&self.arith);
+        self.phases.gate.charge(gate_before, update_before);
+        if frozen.iter().all(|f| *f) {
+            return self.finish(&innov_t, &sig0, &sig1, times, inactive, &rejected);
+        }
 
-        // --- IEKF iterations with per-lane freeze masks --------------
+        // --- IEKF iterations ------------------------------------------
+        let a = &mut self.arith;
         let iterations = self.config.iekf_iterations.max(1);
         let eps = a.num(1e-12);
-        let eps_scalar = eps[0];
-        let mut x_i = x_pred;
-        let mut h_i = h0;
-        let mut jac = jac0;
-        let mut jp = jp0;
-        let mut s = s0;
-        // Final per-lane linearization and gain for the Joseph update.
+        let eps_s = eps[0];
+        // Iteration 0 relinearizes at x_i = x_pred — exactly where the
+        // gate pass just evaluated the model — so its h, J, J P and S
+        // are the gate's, reused, not recomputed.
+        let (mut x_i, mut h_i, mut jac, mut jp, mut s) = (x_pred, h0, jac0, jp0, s0);
+        // Each lane's final linearization and gain, for the Joseph update.
         let mut jac_fin = jac0;
-        let mut k_fin: [[LaneT<A, L>; MEAS_DIM]; STATE_DIM] = [[zero; MEAS_DIM]; STATE_DIM];
-        // A frozen lane has finished iterating (converged, rejected,
-        // singular or inactive); its x/jac/k writes are masked from
-        // then on. When every lane is already frozen (the whole batch
-        // gate-rejected or inactive) the loop — and the Joseph update
-        // below — never run at all, mirroring the scalar early return.
-        let mut frozen: [bool; L] = std::array::from_fn(|lane| rejectd[lane] || inactive[lane]);
+        let mut k_fin: [[LA::T; MEAS_DIM]; STATE_DIM] = [[zero; MEAS_DIM]; STATE_DIM];
         for iter in 0..iterations {
             if frozen.iter().all(|f| *f) {
                 break;
@@ -447,10 +569,14 @@ impl<A: LaneSpec<L>, const L: usize> LaneIekf<A, L> {
                 jp = smallmat::mul(a, &jac, &self.p);
                 s = smallmat::innovation_cov(a, &jp, &jac, r_t);
             }
-            let active: [bool; L] = std::array::from_fn(|lane| !frozen[lane]);
-            let s_inv = inverse2_sym_lanes(a, &s, &mut rejectd, &mut frozen, &active);
+            let Some(s_inv) = inverse2_sym_lanes(a, &s, &mut rejected, &mut frozen) else {
+                break;
+            };
+            // P J^T == (J P)^T entry for entry because P is exactly
+            // symmetric — pure data movement instead of 50 FMAs.
             let pjt = smallmat::transpose(a, &jp);
             let k = smallmat::mul(a, &pjt, &s_inv);
+            // IEKF residual: z - h(x_i) - H (x_pred - x_i).
             let zh = [a.sub(zt[0], h_i[0]), a.sub(zt[1], h_i[1])];
             let dx = smallmat::vec_sub(a, &x_pred, &x_i);
             let jdx = smallmat::mat_vec(a, &jac, &dx);
@@ -460,8 +586,8 @@ impl<A: LaneSpec<L>, const L: usize> LaneIekf<A, L> {
             let dstep = smallmat::vec_sub(a, &x_next, &x_i);
             let step = smallmat::vec_max_abs(a, &dstep);
             for lane in 0..L {
-                // A lane newly marked singular this iteration was
-                // active when s_inv ran but must not adopt its garbage.
+                // A lane the solve just found singular must not adopt
+                // its garbage.
                 if frozen[lane] {
                     continue;
                 }
@@ -476,71 +602,93 @@ impl<A: LaneSpec<L>, const L: usize> LaneIekf<A, L> {
                         jac_fin[row][col][lane] = jac[row][col][lane];
                     }
                 }
-                if a.inner_mut().lt(step[lane], eps_scalar) {
+                if a.inner_mut().lt(step[lane], eps_s) {
                     frozen[lane] = true;
                 }
             }
         }
 
-        // --- Adopt per lane ------------------------------------------
-        // Lanes to leave untouched below: inactive lanes took no
-        // measurement at all, rejected lanes keep prior state and
-        // covariance like the scalar early return.
-        let skip: [bool; L] = std::array::from_fn(|lane| rejectd[lane] || inactive[lane]);
+        // --- Adopt: rejected (gate or singular) and inactive lanes keep
+        // their prior state and covariance -------------------------------
+        let skip: [bool; L] = std::array::from_fn(|lane| rejected[lane] || inactive[lane]);
+        if !skip.iter().all(|s| *s) {
+            for lane in 0..L {
+                if skip[lane] {
+                    for st in 0..STATE_DIM {
+                        x_i[st][lane] = x_pred[st][lane];
+                    }
+                }
+            }
+            self.x = x_i;
+            if !estimate_bias {
+                self.x[3] = zero;
+                self.x[4] = zero;
+            }
+            // Rank-2 Joseph-form covariance update at the final
+            // linearization, upper triangle mirrored (keeps P exactly
+            // symmetric for the next update's transposition shortcut).
+            let p_next = smallmat::joseph_update_sym(a, &self.p, &k_fin, &jac_fin, r_t);
+            if skip.contains(&true) {
+                for lane in 0..L {
+                    if skip[lane] {
+                        continue;
+                    }
+                    for row in 0..STATE_DIM {
+                        for col in 0..STATE_DIM {
+                            self.p[row][col][lane] = p_next[row][col][lane];
+                        }
+                    }
+                }
+            } else {
+                self.p = p_next;
+            }
+            self.apply_trust_region(&skip);
+        }
+        self.phases
+            .update
+            .charge(update_before, ledger_snapshot(&self.arith));
+        self.finish(&innov_t, &sig0, &sig1, times, inactive, &rejected)
+    }
+
+    /// Counts each active lane's outcome and builds its update record.
+    fn finish(
+        &mut self,
+        innov: &[LA::T; MEAS_DIM],
+        sig0: &LA::T,
+        sig1: &LA::T,
+        times: &[f64; L],
+        inactive: &[bool; L],
+        rejected: &[bool; L],
+    ) -> [KalmanUpdate; L] {
         for lane in 0..L {
             if inactive[lane] {
                 continue;
             }
-            if rejectd[lane] {
-                for st in 0..STATE_DIM {
-                    x_i[st][lane] = x_pred[st][lane];
-                }
+            if rejected[lane] {
                 self.rejected[lane] += 1;
             } else {
                 self.updates[lane] += 1;
             }
         }
-        self.x = x_i;
-        if !estimate_bias {
-            self.x[3] = zero;
-            self.x[4] = zero;
-        }
-        if !skip.iter().all(|s| *s) {
-            let p_prior = self.p;
-            let p_next = smallmat::joseph_update_sym(a, &p_prior, &k_fin, &jac_fin, r_t);
-            self.p = p_next;
-            for lane in 0..L {
-                if skip[lane] {
-                    for row in 0..STATE_DIM {
-                        for col in 0..STATE_DIM {
-                            self.p[row][col][lane] = p_prior[row][col][lane];
-                        }
-                    }
-                }
-            }
-            self.apply_trust_region(&skip);
-        }
 
-        // --- Records -------------------------------------------------
         std::array::from_fn(|lane| KalmanUpdate {
             time_s: times[lane],
             innovation: Vec2::new([
-                self.arith.lane_to_f64(&innov_t[0], lane),
-                self.arith.lane_to_f64(&innov_t[1], lane),
+                self.arith.lane_to_f64(&innov[0], lane),
+                self.arith.lane_to_f64(&innov[1], lane),
             ]),
             innovation_sigma: Vec2::new([
-                self.arith.lane_to_f64(&sig0, lane),
-                self.arith.lane_to_f64(&sig1, lane),
+                self.arith.lane_to_f64(sig0, lane),
+                self.arith.lane_to_f64(sig1, lane),
             ]),
-            accepted: !rejectd[lane],
+            accepted: !rejected[lane],
         })
     }
 
-    /// The per-lane mirror of the scalar trust region: clamp any
-    /// out-of-bounds component and re-open its variance, with both
-    /// writes masked to the offending lanes (rejected lanes saw no
-    /// update and are skipped, like the scalar early return path).
-    fn apply_trust_region(&mut self, rejected: &[bool; L]) {
+    /// Clamps every updated lane's state to its physical trust region,
+    /// re-opening the variance of a clamped component (see
+    /// [`FilterConfig::angle_limit`]); `skip` lanes took no update.
+    fn apply_trust_region(&mut self, skip: &[bool; L]) {
         let limits = [
             (
                 0..3,
@@ -562,29 +710,34 @@ impl<A: LaneSpec<L>, const L: usize> LaneIekf<A, L> {
                 continue;
             }
             let a = &mut self.arith;
-            let lim = a.num(limit);
-            let lim_s = lim[0];
-            let floor = a.num((sigma0 * 0.5).powi(2));
-            let floor_s = floor[0];
+            let lim_t = a.num(limit);
+            let lim = lim_t[0];
+            let floor = a.num((sigma0 * 0.5).powi(2))[0];
             for i in range {
                 let ax = a.abs(self.x[i]);
-                let out_of_bounds = a.lane_lt(&lim, &ax);
-                let nlim = a.inner_mut().neg(lim_s);
+                let out_of_bounds = a.lane_lt(&lim_t, &ax);
+                let clamp: [bool; L] =
+                    std::array::from_fn(|lane| out_of_bounds[lane] && !skip[lane]);
+                if !clamp.contains(&true) {
+                    continue;
+                }
+                let inner = a.inner_mut();
+                let nlim = inner.neg(lim);
                 for lane in 0..L {
-                    if rejected[lane] || !out_of_bounds[lane] {
+                    if !clamp[lane] {
                         continue;
                     }
+                    // `x.clamp(-lim, lim)` in `f64::clamp`'s branch order.
                     let v = self.x[i][lane];
-                    let inner = a.inner_mut();
                     self.x[i][lane] = if inner.lt(v, nlim) {
                         nlim
-                    } else if inner.lt(lim_s, v) {
-                        lim_s
+                    } else if inner.lt(lim, v) {
+                        lim
                     } else {
                         v
                     };
-                    if inner.lt(self.p[i][i][lane], floor_s) {
-                        self.p[i][i][lane] = floor_s;
+                    if inner.lt(self.p[i][i][lane], floor) {
+                        self.p[i][i][lane] = floor;
                     }
                 }
             }
@@ -592,42 +745,44 @@ impl<A: LaneSpec<L>, const L: usize> LaneIekf<A, L> {
     }
 }
 
-/// One lane's complete filter state, detached from its lane slot.
-///
-/// Produced by [`LaneIekf::export_lane`] and consumed by
-/// [`LaneIekf::import_lane`]; a round trip through a `LaneState` is
-/// bit-exact, so the fleet arena can move a vehicle between slots
-/// (compaction on eviction) without perturbing its estimate stream.
-#[derive(Clone, Debug)]
-pub struct LaneState<A: Arith> {
-    x: [A::T; STATE_DIM],
-    p: [[A::T; STATE_DIM]; STATE_DIM],
-    sigma: f64,
-    updates: u64,
-    rejected: u64,
+/// Fused model + Jacobian evaluation with the bias columns masked when
+/// bias estimation is disabled.
+#[allow(clippy::type_complexity)]
+fn model_at<A: Arith>(
+    a: &mut A,
+    estimate_bias: bool,
+    x: &[A::T; STATE_DIM],
+    f_b: &[A::T; 3],
+) -> ([A::T; MEAS_DIM], [[A::T; STATE_DIM]; MEAS_DIM]) {
+    let (h, mut jac) = model::h_and_jacobian_generic(a, x, f_b);
+    if !estimate_bias {
+        let zero = a.num(0.0);
+        jac[0][3] = zero;
+        jac[1][4] = zero;
+    }
+    (h, jac)
 }
 
-/// Per-lane mirror of [`smallmat::inverse2_sym`]: the closed-form LDL
-/// solve runs for every lane; a lane whose pivot check fails is marked
-/// rejected + frozen (the scalar filter's singular early return) and
-/// its — possibly non-finite — inverse is masked out by the caller.
+/// Per-lane [`smallmat::inverse2_sym`]: the closed-form LDL solve of
+/// the 2x2 innovation. A live lane whose pivot check fails is marked
+/// rejected and frozen, and its — possibly non-finite — inverse is
+/// masked out by the caller. Once every lane is frozen the rest of the
+/// solve is skipped and the result is `None`.
 fn inverse2_sym_lanes<LA: LaneOps<L>, const L: usize>(
     a: &mut LA,
     s: &[[LA::T; 2]; 2],
     rejected: &mut [bool; L],
     frozen: &mut [bool; L],
-    active: &[bool; L],
-) -> [[LA::T; 2]; 2]
+) -> Option<[[LA::T; 2]; 2]>
 where
-    LA::T: std::ops::IndexMut<usize, Output = <LA::Inner as Arith>::T>,
+    LA::T: IndexMut<usize, Output = <LA::Inner as Arith>::T>,
 {
     let zero = a.num(0.0);
     let tiny = a.num(1e-300);
     let one = a.num(1.0);
-    let d1 = s[0][0];
-    let flag = |a: &mut LA, d: &LA::T, rejected: &mut [bool; L], frozen: &mut [bool; L]| {
+    let mut pivots_ok = |a: &mut LA, d: &LA::T| {
         for lane in 0..L {
-            if !active[lane] {
+            if frozen[lane] {
                 continue;
             }
             let inner = a.inner_mut();
@@ -636,19 +791,26 @@ where
                 frozen[lane] = true;
             }
         }
+        !frozen.iter().all(|f| *f)
     };
-    flag(a, &d1, rejected, frozen);
+    let d1 = s[0][0];
+    if !pivots_ok(a, &d1) {
+        return None;
+    }
     let l = a.div(s[1][0], d1);
     let lt = a.mul(l, s[0][1]);
     let d2 = a.sub(s[1][1], lt);
-    flag(a, &d2, rejected, frozen);
+    if !pivots_ok(a, &d2) {
+        return None;
+    }
+    // S^-1 = [[1/d1 + l^2/d2, -l/d2], [-l/d2, 1/d2]].
     let i11 = a.div(one, d2);
     let nl = a.neg(l);
     let i01 = a.mul(nl, i11);
     let inv_d1 = a.div(one, d1);
     let li01 = a.mul(l, i01);
     let i00 = a.sub(inv_d1, li01);
-    [[i00, i01], [i01, i11]]
+    Some([[i00, i01], [i01, i11]])
 }
 
 /// `L` synchronized ACC channels fused against one shared IMU stream
@@ -878,7 +1040,7 @@ mod tests {
                 for c in 0..STATE_DIM {
                     assert_eq!(
                         p[(r, c)].to_bits(),
-                        lanes.arith().lane_to_f64(&lanes.p[r][c], lane).to_bits(),
+                        lanes.arith().lane_to_f64(&lanes.0.p[r][c], lane).to_bits(),
                         "lane {lane} P[{r}][{c}]"
                     );
                 }
@@ -974,7 +1136,7 @@ mod tests {
                 for c in 0..STATE_DIM {
                     assert_eq!(
                         p[(r, c)].to_bits(),
-                        lanes.arith().lane_to_f64(&lanes.p[r][c], lane).to_bits(),
+                        lanes.arith().lane_to_f64(&lanes.0.p[r][c], lane).to_bits(),
                         "lane {lane} P[{r}][{c}]"
                     );
                 }
@@ -1015,8 +1177,8 @@ mod tests {
         for r in 0..STATE_DIM {
             for c in 0..STATE_DIM {
                 assert_eq!(
-                    lanes.arith().lane_to_f64(&lanes.p[r][c], 2).to_bits(),
-                    fresh.arith().lane_to_f64(&fresh.p[r][c], 2).to_bits(),
+                    lanes.arith().lane_to_f64(&lanes.0.p[r][c], 2).to_bits(),
+                    fresh.arith().lane_to_f64(&fresh.0.p[r][c], 2).to_bits(),
                     "reset P[{r}][{c}]"
                 );
             }

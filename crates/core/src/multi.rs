@@ -30,8 +30,10 @@ use std::any::Any;
 /// every sensor shares one configuration and the channels arrive in
 /// lockstep (the multi-channel synthetic source), the SIMD-style
 /// [`crate::lanes::LaneBank`] computes the identical per-sensor
-/// estimates — bit for bit, pinned by `tests/lane_parity.rs` — through
-/// one lane-batched filter instead of `N` scalar ones.
+/// estimates through one lane-batched filter instead of `N` scalar
+/// ones: both run the same IEKF kernel, each scalar filter as its
+/// one-lane case, and lane masking keeps every lane bit for bit equal
+/// to it (pinned at session level by `tests/lane_parity.rs`).
 ///
 /// # Examples
 ///

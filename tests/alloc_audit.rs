@@ -7,22 +7,42 @@
 //! perform **zero** heap allocations — the property the perf issue
 //! calls "no per-event heap allocation in `FusionSession::step`
 //! steady state".
+//!
+//! Allocations are counted per audit, not per process: each test
+//! enrolls its own thread (and, for the multi-worker fleet, the
+//! threads of a pool it owns) into a counter of its own. The test
+//! harness runs tests on parallel threads and allocates on its own
+//! main thread; neither lands in an audit that did not enroll them.
 
 use sensor_fusion_fpga::fusion::arith::F64Arith;
 use sensor_fusion_fpga::fusion::catalog;
+use sensor_fusion_fpga::fusion::exec::Pool;
 use sensor_fusion_fpga::fusion::fleet::{Fleet, FleetConfig};
 use sensor_fusion_fpga::fusion::spec::ChannelSpec;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The system allocator with an allocation-event counter in front.
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// The audit counter this thread's allocations are charged to, if
+    /// any. Const-initialized and drop-free, so reading it from inside
+    /// the allocator never allocates.
+    static AUDIT: Cell<Option<&'static AtomicU64>> = const { Cell::new(None) };
+}
+
+/// Charges one allocation event to the calling thread's audit.
+fn record_allocation() {
+    if let Some(counter) = AUDIT.get() {
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        record_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -31,12 +51,12 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        record_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        record_allocation();
         unsafe { System.alloc_zeroed(layout) }
     }
 }
@@ -44,29 +64,42 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static COUNTING: CountingAllocator = CountingAllocator;
 
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
+/// One test's allocation counter and the threads enrolled in it.
+#[derive(Clone, Copy)]
+struct Audit(&'static AtomicU64);
 
-/// The counter is process-global, so the two audits must not overlap —
-/// libtest runs `#[test]`s on parallel threads by default, and another
-/// test's warm-up allocating inside this test's measurement window
-/// would fail the zero assert spuriously. Each test body holds this
-/// lock for its whole duration.
-static AUDIT_SERIALIZER: std::sync::Mutex<()> = std::sync::Mutex::new(());
+impl Audit {
+    /// A fresh counter with the calling thread enrolled.
+    fn start() -> Self {
+        let audit = Audit(Box::leak(Box::new(AtomicU64::new(0))));
+        audit.enroll();
+        audit
+    }
+
+    /// Charges the calling thread's allocations to this audit from now
+    /// on.
+    fn enroll(self) {
+        AUDIT.set(Some(self.0));
+    }
+
+    /// Allocation events of the enrolled threads so far.
+    fn allocations(self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
 
 /// The synthetic-source path (the suite's default): after 2 s of
 /// warm-up, a further 25 s of streaming — 5000 ACC samples through the
 /// full 5-state IEKF with trace recording on — allocates nothing.
 #[test]
 fn synthetic_session_steady_state_allocates_nothing() {
-    let _guard = AUDIT_SERIALIZER.lock().unwrap();
+    let audit = Audit::start();
     let spec = catalog::paper_static().with_duration(30.0);
     let mut session = spec.into_session(spec.lower_trajectory());
     session.run_for(2.0);
-    let before = allocations();
+    let before = audit.allocations();
     session.run_for(25.0);
-    let after = allocations();
+    let after = audit.allocations();
     assert_eq!(
         after - before,
         0,
@@ -81,15 +114,15 @@ fn synthetic_session_steady_state_allocates_nothing() {
 /// pooled byte buffers have reached line size.
 #[test]
 fn comms_chain_steady_state_allocates_nothing() {
-    let _guard = AUDIT_SERIALIZER.lock().unwrap();
+    let audit = Audit::start();
     let spec = catalog::paper_static()
         .with_duration(30.0)
         .with_channel(ChannelSpec::comms());
     let mut session = spec.into_session(spec.lower_trajectory());
     session.run_for(3.0);
-    let before = allocations();
+    let before = audit.allocations();
     session.run_for(25.0);
-    let after = allocations();
+    let after = audit.allocations();
     assert_eq!(
         after - before,
         0,
@@ -107,7 +140,7 @@ fn comms_chain_steady_state_allocates_nothing() {
 /// allocations on the inline (workers = 1) scheduling path.
 #[test]
 fn fleet_epoch_steady_state_allocates_nothing() {
-    let _guard = AUDIT_SERIALIZER.lock().unwrap();
+    let audit = Audit::start();
     let mut fleet: Fleet<F64Arith, 8> = Fleet::new(FleetConfig::default());
     for i in 0..1_000u64 {
         let spec = catalog::paper_static()
@@ -116,9 +149,9 @@ fn fleet_epoch_steady_state_allocates_nothing() {
         fleet.admit(&spec).expect("catalog tuning is compatible");
     }
     fleet.run_epochs(5, 1);
-    let before = allocations();
+    let before = audit.allocations();
     fleet.run_epochs(50, 1);
-    let after = allocations();
+    let after = audit.allocations();
     assert_eq!(
         after - before,
         0,
@@ -131,14 +164,15 @@ fn fleet_epoch_steady_state_allocates_nothing() {
 }
 
 /// The persistent executor keeps the fleet's zero-allocation property
-/// at **multi-worker** counts: the warm-up builds and caches the
-/// `exec::Pool` (thread spawn, lap scratch, profiler ring), after
-/// which a steady-state epoch — claim CAS per shard, parked-thread
+/// at **multi-worker** counts: every thread of a test-owned
+/// `exec::Pool` is enrolled in the audit, the warm-up grows the
+/// fleet's lap scratch and profiler ring, after which a steady-state
+/// epoch — claim CAS per shard, parked-thread
 /// wake, fused ingest/compute task, barrier, profile sample — performs
 /// zero heap allocations on any thread.
 #[test]
 fn multi_worker_fleet_epoch_steady_state_allocates_nothing() {
-    let _guard = AUDIT_SERIALIZER.lock().unwrap();
+    let audit = Audit::start();
     let mut fleet: Fleet<F64Arith, 8> = Fleet::new(FleetConfig::default());
     for i in 0..1_000u64 {
         let spec = catalog::paper_static()
@@ -146,10 +180,12 @@ fn multi_worker_fleet_epoch_steady_state_allocates_nothing() {
             .with_seed(60_000 + i);
         fleet.admit(&spec).expect("catalog tuning is compatible");
     }
-    fleet.run_epochs(5, 4);
-    let before = allocations();
-    fleet.run_epochs(50, 4);
-    let after = allocations();
+    let pool = Pool::new(4);
+    pool.run_epoch(|_| audit.enroll());
+    fleet.run_epochs_on(5, &pool);
+    let before = audit.allocations();
+    fleet.run_epochs_on(50, &pool);
+    let after = audit.allocations();
     assert_eq!(
         after - before,
         0,
@@ -169,7 +205,7 @@ fn multi_worker_fleet_epoch_steady_state_allocates_nothing() {
 fn simd_fleet_epoch_steady_state_allocates_nothing() {
     use sensor_fusion_fpga::fusion::simd::SimdF64;
 
-    let _guard = AUDIT_SERIALIZER.lock().unwrap();
+    let audit = Audit::start();
     let mut fleet: Fleet<SimdF64, 8> = Fleet::new(FleetConfig::default());
     for i in 0..256u64 {
         let spec = catalog::paper_static()
@@ -178,9 +214,9 @@ fn simd_fleet_epoch_steady_state_allocates_nothing() {
         fleet.admit(&spec).expect("catalog tuning is compatible");
     }
     fleet.run_epochs(5, 1);
-    let before = allocations();
+    let before = audit.allocations();
     fleet.run_epochs(50, 1);
-    let after = allocations();
+    let after = audit.allocations();
     assert_eq!(
         after - before,
         0,
@@ -203,7 +239,7 @@ fn simd_fleet_epoch_steady_state_allocates_nothing() {
 fn adaptive_session_steady_state_allocates_nothing() {
     use sensor_fusion_fpga::fusion::adaptive::{AdaptiveBackend, HysteresisPolicy, SubstrateId};
 
-    let _guard = AUDIT_SERIALIZER.lock().unwrap();
+    let audit = Audit::start();
     let spec = catalog::paper_static().with_duration(30.0);
     let mut session = spec.into_adaptive_session(
         spec.lower_trajectory(),
@@ -211,9 +247,9 @@ fn adaptive_session_steady_state_allocates_nothing() {
         Box::new(HysteresisPolicy::default()),
     );
     session.run_for(3.0);
-    let before = allocations();
+    let before = audit.allocations();
     session.run_for(25.0);
-    let after = allocations();
+    let after = audit.allocations();
     assert_eq!(
         after - before,
         0,
@@ -241,15 +277,15 @@ fn q_format_filter_loop_steady_state_allocates_nothing() {
     use sensor_fusion_fpga::fusion::arith::QArith;
     use sensor_fusion_fpga::fusion::session::FusionSession;
 
-    let _guard = AUDIT_SERIALIZER.lock().unwrap();
+    let audit = Audit::start();
     let spec = catalog::paper_static().with_duration(30.0);
     let cfg = spec.config();
     let mut session =
         FusionSession::iekf_from_scenario(spec.lower_trajectory(), &cfg, QArith::<24>::default());
     session.run_for(2.0);
-    let before = allocations();
+    let before = audit.allocations();
     session.run_for(25.0);
-    let after = allocations();
+    let after = audit.allocations();
     assert_eq!(
         after - before,
         0,

@@ -14,7 +14,7 @@
 //! dense reference kernels within the documented ulp bounds.
 
 use proptest::prelude::*;
-use sensor_fusion_fpga::fusion::arith::{Arith, F64Arith, SoftArith};
+use sensor_fusion_fpga::fusion::arith::{Arith, F64Arith, OpCounts, QArith, SoftArith};
 use sensor_fusion_fpga::fusion::filter::{FilterConfig, GenericBoresightFilter};
 use sensor_fusion_fpga::fusion::scenario::{run_dynamic, run_static, RunResult, ScenarioConfig};
 use sensor_fusion_fpga::fusion::smallmat;
@@ -162,6 +162,114 @@ fn filter_trace_is_bit_identical_to_pre_refactor() {
     assert_eq!(kf.update_count(), 1_096);
     assert_eq!(kf.rejected_count(), 904);
     assert!(kf.covariance_healthy());
+}
+
+/// A filter-only run over substrate `A` on a closed-form schedule
+/// built to reach every control path of the update: a wild outlier
+/// every 97th sample (gate rejection on axis 0, so the axis-1 test is
+/// skipped), a 0.2 m/s^2 bias offset that drives the bias state into
+/// its trust-region clamp, and — on Q16.16, whose covariance collapses
+/// to the quantization floor — singular innovation solves.
+fn ledger_run<A: Arith + Default>(samples: usize) -> GenericBoresightFilter<A> {
+    let mut kf: GenericBoresightFilter<A> =
+        GenericBoresightFilter::new(FilterConfig::paper_static());
+    let g = STANDARD_GRAVITY;
+    for i in 0..samples {
+        let t = i as f64 * 0.005;
+        let f_b = Vec3::new([2.0 * (0.5 * t).sin(), 1.5 * (0.33 * t).cos(), g]);
+        let z = if i % 97 == 96 {
+            Vec2::new([5.0, -5.0])
+        } else {
+            Vec2::new([
+                f_b[0] + 0.01 * (1.1 * t).sin() + 0.2,
+                f_b[1] - 0.01 * (0.9 * t).cos() - 0.1,
+            ])
+        };
+        kf.predict(0.005);
+        kf.update(z, f_b, t);
+    }
+    kf
+}
+
+/// Expected op ledger of one [`ledger_run`].
+struct LedgerPin {
+    /// `OpCounts` as add, sub, mul, div, neg, abs, sqrt, cmp, fma,
+    /// trig, saturations.
+    counts: [u64; 11],
+    /// `PhaseLedger` predict, gate and update cycles.
+    phase_cycles: [u64; 3],
+    accepted: u64,
+    rejected: u64,
+}
+
+fn assert_ledger_matches<A: Arith>(kf: &GenericBoresightFilter<A>, pin: &LedgerPin) {
+    let c: OpCounts = kf.arith().counts();
+    let counts = [
+        c.add,
+        c.sub,
+        c.mul,
+        c.div,
+        c.neg,
+        c.abs,
+        c.sqrt,
+        c.cmp,
+        c.fma,
+        c.trig,
+        c.saturations,
+    ];
+    assert_eq!(counts, pin.counts, "op counts");
+    let phases = kf.phase_ledger();
+    let cycles = [
+        phases.predict.cycles,
+        phases.gate.cycles,
+        phases.update.cycles,
+    ];
+    assert_eq!(cycles, pin.phase_cycles, "phase cycles");
+    // A filter-only run charges every op to exactly one phase.
+    assert_eq!(c.total(), phases.tracked_ops());
+    assert_eq!(kf.update_count(), pin.accepted, "accepted");
+    assert_eq!(kf.rejected_count(), pin.rejected, "rejected");
+}
+
+/// The Softfloat op ledger of a filter-only run — every counter, the
+/// per-phase Sabre cycles and the accept/reject split — is pinned
+/// exactly: the cycle model is only meaningful if no refactor adds or
+/// drops an emulated instruction on any control path.
+#[test]
+fn softfloat_filter_op_ledger_is_pinned() {
+    let kf = ledger_run::<SoftArith>(20_000);
+    assert_ledger_matches(
+        &kf,
+        &LedgerPin {
+            counts: [
+                6_630_502, 86_647, 6_462_195, 5_751, 129_591, 33_419, 40_000, 83_016, 0, 63_834, 0,
+            ],
+            phase_cycles: [7_500_000, 1_592_482_879, 163_363_833],
+            accepted: 639,
+            rejected: 19_361,
+        },
+    );
+}
+
+/// The Q16.16 op ledger of the same run, saturation events included:
+/// the adaptive context monitor reads the saturation counter, so an
+/// extra instruction on the singular-innovation path (a division by a
+/// collapsed pivot saturates) is a behaviour change, not just a cost.
+#[test]
+fn q16_filter_op_ledger_is_pinned() {
+    let kf = ledger_run::<QArith<16>>(20_000);
+    assert_ledger_matches(
+        &kf,
+        &LedgerPin {
+            counts: [
+                181_121, 43_720, 28_581, 2_037, 120_780, 27_054, 40_000, 72_802, 5_838_210, 60_327,
+                2,
+            ],
+            phase_cycles: [100_000, 25_692_195, 245_776],
+            accepted: 7,
+            rejected: 19_993,
+        },
+    );
 }
 
 /// `|a - b|` within one ulp scaled to the operand magnitude.
@@ -312,7 +420,6 @@ proptest! {
 /// Saturation count of one fresh `QArith<FRAC>` after a single
 /// (non-chained) operation on operands lowered through `num`.
 fn q_sat_for_op<const FRAC: u32>(op: usize, a: f64, b: f64, c: f64) -> u64 {
-    use sensor_fusion_fpga::fusion::arith::QArith;
     let mut q = QArith::<FRAC>::default();
     let (qa, qb, qc) = (q.num(a), q.num(b), q.num(c));
     match op {
