@@ -16,7 +16,12 @@
 //! parked worker threads woken per call through a condvar-guarded
 //! epoch counter. One [`Pool::run_epoch`] call publishes a borrowed
 //! closure to every worker, runs the caller as worker `0`, and
-//! barriers until the last worker finishes — **no thread is spawned
+//! barriers until the last worker finishes. Both waits — a worker
+//! waiting for the next epoch and the caller waiting on the barrier —
+//! first spin for a few tens of microseconds on atomic mirrors of the
+//! epoch counter and the remaining-worker count, and only then park on
+//! the condvar, so back-to-back sub-millisecond epochs do not pay a
+//! futex wake-up each. **No thread is spawned
 //! and no heap allocation is performed per call**, which is what lets
 //! the fleet server's 5 ms epoch loop run on it without paying thread
 //! spawn/join or scheduling-allocation costs every epoch
@@ -40,11 +45,12 @@
 //! assert_eq!(sum.load(std::sync::atomic::Ordering::Relaxed), 0 + 1 + 2 + 3);
 //! ```
 
-use std::cell::UnsafeCell;
+use std::cell::{Cell, UnsafeCell};
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// The worker count meaning "one per available core".
 ///
@@ -71,16 +77,41 @@ pub fn resolve_workers(requested: usize) -> usize {
     }
 }
 
-/// Threads spawned by every [`Pool`] built so far, process-wide.
+/// Threads spawned by every [`Pool`] built on the calling thread so
+/// far.
 ///
 /// Warm-up audits read this before and after a measurement window to
 /// prove a persistent pool serviced it without spawning — the property
-/// the fleet's epoch loop depends on. The counter only ever grows.
+/// the fleet's epoch loop depends on. The count is per constructing
+/// thread, so pools built concurrently by other threads (sibling
+/// tests, say) never move it. It only ever grows.
 pub fn threads_spawned() -> u64 {
-    POOL_THREADS_SPAWNED.load(Ordering::Relaxed)
+    THREADS_SPAWNED.with(Cell::get)
 }
 
-static POOL_THREADS_SPAWNED: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static THREADS_SPAWNED: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How long a worker waiting for the next epoch, or a caller waiting
+/// on the barrier, spins on the atomic mirrors before parking on the
+/// condvar.
+const SPIN_BEFORE_PARK: Duration = Duration::from_micros(50);
+
+/// Spins until `ready()` holds or [`SPIN_BEFORE_PARK`] elapses. The
+/// caller re-checks its condition under the state lock either way and
+/// parks if it still does not hold.
+fn spin_until(ready: impl Fn() -> bool) {
+    let deadline = Instant::now() + SPIN_BEFORE_PARK;
+    while Instant::now() < deadline {
+        for _ in 0..64 {
+            if ready() {
+                return;
+            }
+            std::hint::spin_loop();
+        }
+    }
+}
 
 /// An `UnsafeCell` the executor layer may share across threads.
 ///
@@ -154,6 +185,11 @@ struct PoolShared {
     start: Condvar,
     /// The caller parks here until `remaining` hits zero.
     done: Condvar,
+    /// Lock-free mirrors of `JobState::epoch` and
+    /// `JobState::remaining`, stored under the lock, read by the
+    /// spin phase of each wait. The locked fields stay authoritative.
+    epoch_hint: AtomicU64,
+    remaining_hint: AtomicUsize,
 }
 
 /// A persistent worker pool: `workers - 1` parked threads plus the
@@ -184,10 +220,12 @@ impl Pool {
             }),
             start: Condvar::new(),
             done: Condvar::new(),
+            epoch_hint: AtomicU64::new(0),
+            remaining_hint: AtomicUsize::new(0),
         });
         let handles = (1..workers)
             .map(|id| {
-                POOL_THREADS_SPAWNED.fetch_add(1, Ordering::Relaxed);
+                THREADS_SPAWNED.with(|n| n.set(n.get() + 1));
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("exec-pool-{id}"))
@@ -233,6 +271,10 @@ impl Pool {
             });
             state.epoch += 1;
             state.remaining = self.handles.len();
+            self.shared
+                .remaining_hint
+                .store(state.remaining, Ordering::Release);
+            self.shared.epoch_hint.store(state.epoch, Ordering::Release);
             self.shared.start.notify_all();
         }
         // The barrier must run even if `f(0)` unwinds: workers may
@@ -296,6 +338,7 @@ struct BarrierGuard<'a> {
 
 impl Drop for BarrierGuard<'_> {
     fn drop(&mut self) {
+        spin_until(|| self.shared.remaining_hint.load(Ordering::Acquire) == 0);
         let mut state = self.shared.state.lock().expect("pool state");
         while state.remaining > 0 {
             state = self.shared.done.wait(state).expect("pool state");
@@ -320,6 +363,7 @@ impl Drop for Pool {
 fn worker_loop(shared: &PoolShared, worker: usize) {
     let mut seen = 0u64;
     loop {
+        spin_until(|| shared.epoch_hint.load(Ordering::Acquire) != seen);
         let job = {
             let mut state = shared.state.lock().expect("pool state");
             loop {
@@ -343,6 +387,9 @@ fn worker_loop(shared: &PoolShared, worker: usize) {
             state.panicked = true;
         }
         state.remaining -= 1;
+        shared
+            .remaining_hint
+            .store(state.remaining, Ordering::Release);
         if state.remaining == 0 {
             shared.done.notify_all();
         }

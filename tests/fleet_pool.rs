@@ -4,10 +4,6 @@
 //! wider-than-the-shard-set, and every run is bit-identical to the
 //! serial schedule. After the pool's warm-up, no thread is ever
 //! spawned again.
-//!
-//! This lives in its own test binary on purpose: the
-//! [`exec::threads_spawned`] counter is process-wide, and sibling
-//! tests running in parallel would pollute it.
 
 use sensor_fusion_fpga::fusion::arith::F64Arith;
 use sensor_fusion_fpga::fusion::catalog;
