@@ -17,11 +17,14 @@
 //!   session-builder path.
 //!
 //! Run with `cargo run --release -p bench_suite --bin ablation_arith
-//! [updates] [--workers N]`. The optional update count defaults to
-//! 20000 at 200 Hz (a 100 s scenario); the full-IEKF tier fans the
-//! enum substrates out over the worker pool (`--workers 1` forces the
-//! old serial sweep, 0 = one per core) and then runs the
-//! builder-path substrates serially.
+//! [updates] [--workers N] [--gate-cycles]`. The optional update count
+//! defaults to 20000 at 200 Hz (a 100 s scenario); the full-IEKF tier
+//! fans the enum substrates out over the worker pool (`--workers 1`
+//! forces the old serial sweep, 0 = one per core) and then runs the
+//! builder-path substrates serially. `--gate-cycles` fails the run if
+//! the Softfloat or Q16.16 IEKF costs more modelled cycles per sample
+//! than the committed `bench_baselines/BENCH_arith_full_filter.json`;
+//! run it at that file's sample count (2000).
 
 use bench_suite::{
     compare_labeled_to_baseline, load_baseline, print_baseline_deltas, print_table, write_json,
@@ -384,9 +387,10 @@ fn main() {
     // Diff against the committed baseline so kernel regressions are
     // visible in every run (cycles are modelled, so this comparison is
     // machine-independent).
-    if let Some(baseline) = load_baseline("BENCH_arith_full_filter.json") {
+    let baseline = load_baseline("BENCH_arith_full_filter.json");
+    if let Some(baseline) = &baseline {
         let deltas = compare_labeled_to_baseline(
-            &baseline,
+            baseline,
             &doc,
             "substrates",
             &[
@@ -399,6 +403,37 @@ fn main() {
             ],
         );
         print_baseline_deltas("vs committed bench_baselines/", &deltas);
+    }
+
+    // --- Modelled-cycle gate (opt-in: `--gate-cycles`) --------------
+    // Modelled cycles are machine-independent, so this gate is exact:
+    // at the committed baseline's sample count the emulated substrates
+    // may not spend more cycles per sample than the baseline records.
+    if args.has_flag("gate-cycles") {
+        let baseline = baseline.expect("--gate-cycles needs bench_baselines/");
+        for label in ["iekf5/softfloat", "iekf5/q16.16"] {
+            let field = |report: &Json, name: &str| {
+                report
+                    .find_labeled("substrates", label)
+                    .and_then(|row| row.lookup(name))
+                    .and_then(Json::as_f64)
+                    .unwrap_or_else(|| panic!("{label} {name} missing"))
+            };
+            assert_eq!(
+                field(&doc, "samples"),
+                field(&baseline, "samples"),
+                "--gate-cycles compares at the committed baseline's sample count"
+            );
+            let (cycles, limit) = (
+                field(&doc, "cycles_per_sample"),
+                field(&baseline, "cycles_per_sample"),
+            );
+            assert!(
+                cycles <= limit,
+                "{label} cycle gate violated: {cycles:.1} cycles/sample > {limit:.1} (committed baseline)"
+            );
+            println!("cycle gate passed: {label} {cycles:.1} <= {limit:.1} cycles/sample");
+        }
     }
 
     // The emulated IEEE run of the real filter is bit-identical to the

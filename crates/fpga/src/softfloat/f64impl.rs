@@ -344,25 +344,45 @@ pub fn sqrt(a: Sf64) -> Sf64 {
     Sf64(round_pack(false, er, s as u64))
 }
 
-/// Integer square root of a u128 (floor), binary digit-by-digit.
-pub(crate) fn isqrt_u128(x: u128) -> u128 {
-    if x == 0 {
+/// Integer square root of a u64 (floor), by integer Newton steps.
+fn isqrt_u64(n: u64) -> u64 {
+    if n == 0 {
         return 0;
     }
-    let mut res: u128 = 0;
-    // Highest power of four <= x.
-    let mut bit = 1u128 << ((127 - x.leading_zeros()) & !1);
-    let mut rem = x;
-    while bit != 0 {
-        if rem >= res + bit {
-            rem -= res + bit;
-            res = (res >> 1) + bit;
-        } else {
-            res >>= 1;
+    // One Newton step from the power of two 2^j <= sqrt(n) lands on or
+    // above the root (AM-GM) within 25 %; each further step from above
+    // stays above it until it reaches the floor, then stops falling.
+    let j = n.ilog2() / 2;
+    let mut s = ((1u64 << j) + (n >> j)) >> 1;
+    loop {
+        let next = (s + n / s) >> 1;
+        if next >= s {
+            return s;
         }
-        bit >>= 2;
+        s = next;
     }
-    res
+}
+
+/// Integer square root of a u128 (floor).
+///
+/// Above `u64::MAX` the root is seeded from the `u64` root `r` of the
+/// top 63-64 bits, taken at an even shift so it scales exactly:
+/// `(r + 1) << shift / 2` is at or above `sqrt(x)` by a factor of at
+/// most `1 + 2^-31`. One Newton step from there leaves the result less
+/// than 2 above the root and never below its floor, and at most two
+/// decrements finish it. Integer-only and exact.
+pub(crate) fn isqrt_u128(x: u128) -> u128 {
+    if x <= u64::MAX as u128 {
+        return isqrt_u64(x as u64) as u128;
+    }
+    let shift = (65 - x.leading_zeros()) & !1;
+    let r = isqrt_u64((x >> shift) as u64) as u128;
+    let seed = (r + 1) << (shift / 2);
+    let mut s = (seed + x / seed) >> 1;
+    while s * s > x {
+        s -= 1;
+    }
+    s
 }
 
 /// IEEE equality (`NaN != NaN`, `-0 == +0`).
@@ -590,6 +610,37 @@ mod tests {
         let big = (1u128 << 100) - 1;
         let s = isqrt_u128(big);
         assert!(s * s <= big && (s + 1) * (s + 1) > big);
+    }
+
+    /// `floor(sqrt(x))` at perfect squares and their neighbours across
+    /// the whole range: small roots, the `u64` seed path's edge at 2^64,
+    /// Softfloat's operand range up to 2^126, and the top of `u128`.
+    #[test]
+    fn isqrt_is_the_floor_root_at_squares_and_neighbours() {
+        let is_floor_root =
+            |x: u128, s: u128| s * s <= x && (s + 1).checked_mul(s + 1).is_none_or(|sq| sq > x);
+        let mut roots: Vec<u128> = (1..=2_000).collect();
+        for e in [31u32, 32, 33, 62, 63] {
+            for d in 0..=3 {
+                roots.push((1u128 << e) - d);
+                roots.push((1u128 << e) + d);
+            }
+        }
+        roots.push(u64::MAX as u128);
+        for k in roots {
+            let sq = k * k;
+            assert_eq!(isqrt_u128(sq), k, "k^2 for k = {k}");
+            assert_eq!(isqrt_u128(sq - 1), k - 1, "k^2 - 1 for k = {k}");
+            assert_eq!(isqrt_u128(sq + 1), k, "k^2 + 1 for k = {k}");
+        }
+        let u64_edge = 1u128 << 64;
+        let top_126 = 1u128 << 126;
+        for base in [u64_edge, top_126, u128::MAX - 8] {
+            for x in base.saturating_sub(8)..=base.saturating_add(8) {
+                assert!(is_floor_root(x, isqrt_u128(x)), "x = {x}");
+            }
+        }
+        assert_eq!(isqrt_u128(u128::MAX), u64::MAX as u128);
     }
 
     #[test]

@@ -242,9 +242,9 @@ fn softfloat_filter_op_ledger_is_pinned() {
         &kf,
         &LedgerPin {
             counts: [
-                6_630_502, 86_647, 6_462_195, 5_751, 129_591, 33_419, 40_000, 83_016, 0, 63_834, 0,
+                2_353_624, 86_647, 2_568_321, 5_751, 108_313, 33_419, 40_000, 83_016, 0, 63_834, 0,
             ],
-            phase_cycles: [7_500_000, 1_592_482_879, 163_363_833],
+            phase_cycles: [7_500_000, 796_802_879, 112_519_881],
             accepted: 639,
             rejected: 19_361,
         },
@@ -262,10 +262,10 @@ fn q16_filter_op_ledger_is_pinned() {
         &kf,
         &LedgerPin {
             counts: [
-                181_121, 43_720, 28_581, 2_037, 120_780, 27_054, 40_000, 72_802, 5_838_210, 60_327,
-                2,
+                181_121, 43_720, 390_543, 2_037, 100_671, 27_054, 40_000, 72_802, 1_796_301,
+                60_327, 2,
             ],
-            phase_cycles: [100_000, 25_692_195, 245_776],
+            phase_cycles: [100_000, 10_672_195, 163_917],
             accepted: 7,
             rejected: 19_993,
         },
