@@ -29,7 +29,7 @@ fn main() {
         .build();
     session.run_to_end();
     let backend: &ArithKf3<SoftArith> = session.backend_as().expect("softfloat backend");
-    let stats = *backend.kf().arith().fpu.stats();
+    let stats = backend.kf().arith().fpu.stats();
     let cycles_per_update = stats.cycles as f64 / n as f64;
 
     print_table(

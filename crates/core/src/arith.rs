@@ -601,59 +601,71 @@ pub struct SoftArith {
 impl Arith for SoftArith {
     type T = Sf64;
 
+    #[inline]
     fn num(&mut self, x: f64) -> Sf64 {
         Sf64::from_f64(x)
     }
 
+    #[inline]
     fn to_f64(&self, x: Sf64) -> f64 {
         x.to_f64()
     }
 
+    #[inline]
     fn add(&mut self, a: Sf64, b: Sf64) -> Sf64 {
         self.counts.add += 1;
         self.fpu.add_f64(a, b)
     }
 
+    #[inline]
     fn sub(&mut self, a: Sf64, b: Sf64) -> Sf64 {
         self.counts.sub += 1;
         self.fpu.sub_f64(a, b)
     }
 
+    #[inline]
     fn mul(&mut self, a: Sf64, b: Sf64) -> Sf64 {
         self.counts.mul += 1;
         self.fpu.mul_f64(a, b)
     }
 
+    #[inline]
     fn div(&mut self, a: Sf64, b: Sf64) -> Sf64 {
         self.counts.div += 1;
         self.fpu.div_f64(a, b)
     }
 
+    #[inline]
     fn sqrt(&mut self, a: Sf64) -> Sf64 {
         self.counts.sqrt += 1;
         self.fpu.sqrt_f64(a)
     }
 
+    #[inline]
     fn neg(&mut self, a: Sf64) -> Sf64 {
         self.counts.neg += 1;
         self.fpu.neg_f64(a)
     }
 
+    #[inline]
     fn abs(&mut self, a: Sf64) -> Sf64 {
         self.counts.abs += 1;
         self.fpu.abs_f64(a)
     }
 
+    #[inline]
     fn lt(&mut self, a: Sf64, b: Sf64) -> bool {
         self.counts.cmp += 1;
         self.fpu.lt_f64(a, b)
     }
 
+    #[inline]
     fn eq(&mut self, a: Sf64, b: Sf64) -> bool {
         self.counts.cmp += 1;
         self.fpu.eq_f64(a, b)
     }
 
+    #[inline]
     fn max(&mut self, a: Sf64, b: Sf64) -> Sf64 {
         // `f64::max` semantics (NaN-ignoring), so the emulated path
         // stays bit-comparable to the native reference even when a NaN
@@ -673,6 +685,7 @@ impl Arith for SoftArith {
         }
     }
 
+    #[inline]
     fn sin_cos(&mut self, a: Sf64) -> (Sf64, Sf64) {
         self.counts.trig += 1;
         self.fpu.sin_cos_f64(a)
@@ -691,7 +704,7 @@ impl Arith for SoftArith {
     }
 
     fn cycles(&self) -> u64 {
-        self.fpu.stats().cycles
+        self.fpu.cycles()
     }
 
     fn reset_counts(&mut self) {
@@ -1361,6 +1374,30 @@ mod tests {
         assert_eq!(counts.mul, stats.mul_f64);
         assert_eq!(counts.add + counts.sub, stats.add_f64);
         assert_eq!(soft.arith().cycles(), stats.cycles);
+    }
+
+    /// `SoftArith::fma` is the double-rounded `c + a * b` of the trait
+    /// default, and its ledger moves exactly as the two separate ops
+    /// would: one `mul` and one `add` in both ledgers, never an `fma`.
+    #[test]
+    fn softfloat_fma_is_one_mul_plus_one_add() {
+        let mut soft = SoftArith::default();
+        let (a, b, c) = (0.1, 0.7, -0.07);
+        let before = (soft.counts(), soft.fpu.stats(), soft.cycles());
+        let r = soft.fma(Sf64::from_f64(a), Sf64::from_f64(b), Sf64::from_f64(c));
+        let after = (soft.counts(), soft.fpu.stats(), soft.cycles());
+        assert_eq!(r.to_f64().to_bits(), (a * b + c).to_bits());
+        let counts = after.0.since(&before.0);
+        assert_eq!((counts.mul, counts.add, counts.fma), (1, 1, 0));
+        assert_eq!(counts.total(), 2);
+        assert_eq!(after.1.mul_f64 - before.1.mul_f64, 1);
+        assert_eq!(after.1.add_f64 - before.1.add_f64, 1);
+        assert_eq!(after.1.total_ops() - before.1.total_ops(), 2);
+        let costs = soft.fpu.costs();
+        assert_eq!(after.2 - before.2, costs.mul_f64 + costs.add_f64);
+        // A -0 product plus a +0 addend is +0, as on the host.
+        let z = soft.fma(Sf64::from_f64(-1.0), Sf64::ZERO, Sf64::ZERO);
+        assert_eq!(z.bits(), 0);
     }
 
     #[test]

@@ -13,6 +13,34 @@
 //! 10 guard bits, exactly the headroom Berkeley Softfloat uses, which
 //! keeps small alignment shifts exact and makes the sticky-bit ("jam")
 //! rounding argument sound through cancellation.
+//!
+//! # Fast paths
+//!
+//! [`add`], [`sub`] and [`mul`] are `#[inline]` wrappers around a
+//! branch-light fast path for the operands a filter actually produces:
+//! normal numbers and `±0`. The fast path
+//!
+//! * orders the addends by their magnitude bits,
+//! * negates the smaller one with a sign mask instead of branching on
+//!   sign,
+//! * normalises with `leading_zeros` (a product needs at most a
+//!   one-bit shift, taken from its top bit),
+//! * rounds to nearest-even with a bool-to-int increment, and
+//! * adds the rounded significand straight into the exponent field, so
+//!   a rounding carry bumps the exponent for free.
+//!
+//! A `±0` operand, or an addend more than 54 binades below the other
+//! (under a quarter ulp, so it cannot change the rounded sum), returns
+//! early. Whenever an operand is subnormal, infinite or NaN, or the
+//! result would leave the normal range (underflow to a subnormal, or a
+//! biased exponent above `0x7FD` before rounding), the out-of-line
+//! general routine computes the result instead. Both paths are
+//! correctly rounded, so they agree bit for bit, and both agree with
+//! the host FPU (`tests/softfloat_props.rs`).
+//!
+//! There is no fused multiply-add: a multiply-add is
+//! `add(c, mul(a, b))`, rounded twice as on a core without an FMA
+//! unit, and each half takes its own inlined fast path.
 
 /// A binary64 value as a raw bit pattern.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -35,21 +63,25 @@ const TIE: u64 = 1 << (GUARD - 1);
 
 impl Sf64 {
     /// Wraps raw bits.
+    #[inline]
     pub const fn from_bits(bits: u64) -> Self {
         Self(bits)
     }
 
     /// Converts from a host `f64` (bit-level, exact).
+    #[inline]
     pub fn from_f64(x: f64) -> Self {
         Self(x.to_bits())
     }
 
     /// Converts to a host `f64` (bit-level, exact).
+    #[inline]
     pub fn to_f64(self) -> f64 {
         f64::from_bits(self.0)
     }
 
     /// The raw bit pattern.
+    #[inline]
     pub const fn bits(self) -> u64 {
         self.0
     }
@@ -59,40 +91,48 @@ impl Sf64 {
     /// One.
     pub const ONE: Sf64 = Sf64(0x3FF0_0000_0000_0000);
 
+    #[inline]
     fn sign(self) -> bool {
         self.0 & SIGN != 0
     }
 
+    #[inline]
     fn exp(self) -> i32 {
         ((self.0 >> FRAC_BITS) & EXP_MASK) as i32
     }
 
+    #[inline]
     fn frac(self) -> u64 {
         self.0 & FRAC_MASK
     }
 
     /// `true` for any NaN.
+    #[inline]
     pub fn is_nan(self) -> bool {
         self.exp() == EXP_MAX && self.frac() != 0
     }
 
     /// `true` for +/- infinity.
+    #[inline]
     pub fn is_inf(self) -> bool {
         self.exp() == EXP_MAX && self.frac() == 0
     }
 
     /// `true` for +/- zero.
+    #[inline]
     pub fn is_zero(self) -> bool {
         self.0 & !SIGN == 0
     }
 
     /// Flips the sign bit (exact negation, including of NaN/inf/zero).
     #[allow(clippy::should_implement_trait)] // softfloat op set uses the paper's names
+    #[inline]
     pub fn neg(self) -> Self {
         Self(self.0 ^ SIGN)
     }
 
     /// Clears the sign bit.
+    #[inline]
     pub fn abs(self) -> Self {
         Self(self.0 & !SIGN)
     }
@@ -188,8 +228,111 @@ fn normalize(mut e: i32, mut sig: u64) -> (i32, u64) {
     (e, sig)
 }
 
+/// Magnitude bits of the smallest normal number (`f64::MIN_POSITIVE`).
+const MIN_NORMAL: u64 = HIDDEN;
+/// Magnitude bits of infinity.
+const INF_BITS: u64 = (EXP_MAX as u64) << FRAC_BITS;
+
+/// Rounds `sig` (most significant bit at bit 63, the low 11 bits being
+/// guard and sticky) to nearest-even and packs it with the biased
+/// exponent `e` into magnitude bits. `None` when `e` lies outside
+/// `[1, 0x7FD]`, where the result could be subnormal, zero or
+/// infinite; the general routines handle those. Inside the range the
+/// rounding carry can lift the exponent field to at most `0x7FE`, so a
+/// packed result is always normal.
+#[inline(always)]
+fn round_fast(e: i32, sig: u64) -> Option<u64> {
+    if (e - 1) as u32 >= (EXP_MAX - 2) as u32 {
+        return None;
+    }
+    let keep = sig >> (GUARD + 1);
+    let rem = sig & ((1 << (GUARD + 1)) - 1);
+    // Above the tie, or on the tie with an odd last bit.
+    let inc = (rem + (keep & 1) > 1 << GUARD) as u64;
+    // `keep` carries the hidden bit at bit 52, which adds the missing 1
+    // to the exponent field; a carry out of the significand adds one
+    // more.
+    Some((((e - 1) as u64) << FRAC_BITS) + keep + inc)
+}
+
+/// Fast-path sum of two bit patterns. `None` unless both are `±0` or
+/// normal and the sum is zero or normal.
+#[inline(always)]
+fn add_fast(x: u64, y: u64) -> Option<u64> {
+    let (sx, mx, sy, my) = (x & SIGN, x & !SIGN, y & SIGN, y & !SIGN);
+    let (s_hi, m_hi, s_lo, m_lo) = if mx >= my {
+        (sx, mx, sy, my)
+    } else {
+        (sy, my, sx, mx)
+    };
+    if m_hi >= INF_BITS {
+        return None;
+    }
+    if m_lo < MIN_NORMAL {
+        if m_lo != 0 {
+            return None; // subnormal
+        }
+        // A ±0 addend; -0 + -0 is the only zero sum that keeps a sign.
+        return Some(if m_hi == 0 { sx & sy } else { s_hi | m_hi });
+    }
+    let e_hi = (m_hi >> FRAC_BITS) as u32;
+    let shift = e_hi - (m_lo >> FRAC_BITS) as u32;
+    if shift > FRAC_BITS + 2 {
+        return Some(s_hi | m_hi); // the smaller addend is below a quarter ulp
+    }
+    // Hidden bit at bit 62 over the fraction and 10 zero guard bits
+    // (the exponent's low bit shifted into bit 63 is overwritten).
+    let sig = |m: u64| ((m << (GUARD + 1)) | SIGN) >> 1;
+    let lo = sig(m_lo);
+    let lo = (lo >> shift) | ((lo & ((1 << shift) - 1)) != 0) as u64;
+    // All ones when the signs differ: two's-complement negation of the
+    // smaller addend without a branch.
+    let negate = (((s_hi ^ s_lo) as i64) >> 63) as u64;
+    let sum = sig(m_hi).wrapping_add((lo ^ negate).wrapping_sub(negate));
+    if sum == 0 {
+        return Some(0); // exact cancellation is +0
+    }
+    let lz = sum.leading_zeros();
+    round_fast(e_hi as i32 + 1 - lz as i32, sum << lz).map(|m| s_hi | m)
+}
+
+/// Fast-path product of two bit patterns. `None` unless both are `±0`
+/// or normal and the product is zero or normal.
+#[inline(always)]
+fn mul_fast(x: u64, y: u64) -> Option<u64> {
+    let sign = (x ^ y) & SIGN;
+    let (mx, my) = (x & !SIGN, y & !SIGN);
+    if mx == 0 || my == 0 {
+        // Zero times a finite value; 0 * inf and NaNs take the general
+        // routine.
+        return (mx.max(my) < INF_BITS).then_some(sign);
+    }
+    let (ex, ey) = ((mx >> FRAC_BITS) as i32, (my >> FRAC_BITS) as i32);
+    if (ex - 1) as u32 >= (EXP_MAX - 1) as u32 || (ey - 1) as u32 >= (EXP_MAX - 1) as u32 {
+        return None; // subnormal, infinite or NaN
+    }
+    // Both significands with the hidden bit at bit 63: the product's
+    // top bit is at bit 127 or 126.
+    let p = ((mx << (GUARD + 1)) | SIGN) as u128 * ((my << (GUARD + 1)) | SIGN) as u128;
+    let hi = (p >> 64) as u64;
+    let top = (hi >> 63) as u32;
+    let sig = (hi | (p as u64 != 0) as u64) << (top ^ 1);
+    round_fast(ex + ey - 1023 + top as i32, sig).map(|m| sign | m)
+}
+
 /// IEEE-754 addition, round-to-nearest-even.
+#[inline]
 pub fn add(a: Sf64, b: Sf64) -> Sf64 {
+    match add_fast(a.0, b.0) {
+        Some(r) => Sf64(r),
+        None => add_general(a, b),
+    }
+}
+
+/// [`add`] for every operand class and result range.
+#[cold]
+#[inline(never)]
+fn add_general(a: Sf64, b: Sf64) -> Sf64 {
     if a.is_nan() || b.is_nan() {
         return Sf64(QNAN);
     }
@@ -241,16 +384,26 @@ pub fn add(a: Sf64, b: Sf64) -> Sf64 {
     Sf64(round_pack(sign, e, sum))
 }
 
-/// IEEE-754 subtraction.
+/// IEEE-754 subtraction: `a + (-b)` (a NaN `b` still gives the
+/// canonical quiet NaN, whatever its sign).
+#[inline]
 pub fn sub(a: Sf64, b: Sf64) -> Sf64 {
-    if b.is_nan() {
-        return Sf64(QNAN);
-    }
     add(a, b.neg())
 }
 
 /// IEEE-754 multiplication, round-to-nearest-even.
+#[inline]
 pub fn mul(a: Sf64, b: Sf64) -> Sf64 {
+    match mul_fast(a.0, b.0) {
+        Some(r) => Sf64(r),
+        None => mul_general(a, b),
+    }
+}
+
+/// [`mul`] for every operand class and result range.
+#[cold]
+#[inline(never)]
+fn mul_general(a: Sf64, b: Sf64) -> Sf64 {
     if a.is_nan() || b.is_nan() {
         return Sf64(QNAN);
     }
@@ -386,6 +539,7 @@ pub(crate) fn isqrt_u128(x: u128) -> u128 {
 }
 
 /// IEEE equality (`NaN != NaN`, `-0 == +0`).
+#[inline]
 pub fn eq(a: Sf64, b: Sf64) -> bool {
     if a.is_nan() || b.is_nan() {
         return false;
@@ -397,6 +551,7 @@ pub fn eq(a: Sf64, b: Sf64) -> bool {
 }
 
 /// IEEE less-than (`false` on any NaN).
+#[inline]
 pub fn lt(a: Sf64, b: Sf64) -> bool {
     if a.is_nan() || b.is_nan() {
         return false;

@@ -7,6 +7,14 @@
 //! "how many Sabre cycles does one EKF iteration take" can be answered
 //! without porting a C compiler.
 //!
+//! Charging an operation is one counter increment; the cycle ledger is
+//! derived when it is read, as the sum over op kinds of count times
+//! cost ([`SoftFpu::stats`], [`SoftFpu::cycles`]). The totals are the
+//! ones a running sum would give, and the per-op entry points are
+//! `#[inline]` so a caller in another crate pays one increment and the
+//! arithmetic's fast path per operation. The core has no FMA unit, so
+//! a multiply-add is charged as the multiply and the add it runs.
+//!
 //! The default [`CycleCosts`] are derived by counting the integer
 //! ALU/shift/branch operations our own routines perform on typical
 //! operands (normalized inputs, no special cases) on a single-issue
@@ -158,7 +166,7 @@ pub struct FpuStats {
     pub sincos_f64: u64,
     /// Conversions performed.
     pub convert: u64,
-    /// Total cycles charged.
+    /// Total cycles charged: Σ count × cost over every [`FpOp`].
     pub cycles: u64,
 }
 
@@ -181,6 +189,9 @@ impl FpuStats {
     }
 }
 
+/// Number of [`FpOp`] kinds (the last variant's index plus one).
+const OP_KINDS: usize = FpOp::Convert as usize + 1;
+
 /// A software FPU with cycle accounting.
 ///
 /// # Examples
@@ -198,7 +209,8 @@ impl FpuStats {
 #[derive(Clone, Debug)]
 pub struct SoftFpu {
     costs: CycleCosts,
-    stats: FpuStats,
+    /// Operations charged so far, indexed by `FpOp as usize`.
+    counts: [u64; OP_KINDS],
 }
 
 impl SoftFpu {
@@ -211,7 +223,7 @@ impl SoftFpu {
     pub fn with_costs(costs: CycleCosts) -> Self {
         Self {
             costs,
-            stats: FpuStats::default(),
+            counts: [0; OP_KINDS],
         }
     }
 
@@ -220,84 +232,116 @@ impl SoftFpu {
         &self.costs
     }
 
-    /// Counters and ledger so far.
-    pub fn stats(&self) -> &FpuStats {
-        &self.stats
+    /// Counters so far, with the cycles they cost under this FPU's
+    /// [`CycleCosts`].
+    pub fn stats(&self) -> FpuStats {
+        let n = |op: FpOp| self.counts[op as usize];
+        let mut s = FpuStats {
+            add_f32: n(FpOp::AddF32),
+            mul_f32: n(FpOp::MulF32),
+            div_f32: n(FpOp::DivF32),
+            sqrt_f32: n(FpOp::SqrtF32),
+            cmp_f32: n(FpOp::CmpF32),
+            add_f64: n(FpOp::AddF64),
+            mul_f64: n(FpOp::MulF64),
+            div_f64: n(FpOp::DivF64),
+            sqrt_f64: n(FpOp::SqrtF64),
+            cmp_f64: n(FpOp::CmpF64),
+            sign_f64: n(FpOp::SignF64),
+            sincos_f64: n(FpOp::SinCosF64),
+            convert: n(FpOp::Convert),
+            cycles: 0,
+        };
+        let c = &self.costs;
+        s.cycles = s.add_f32 * c.add_f32
+            + s.mul_f32 * c.mul_f32
+            + s.div_f32 * c.div_f32
+            + s.sqrt_f32 * c.sqrt_f32
+            + s.cmp_f32 * c.cmp_f32
+            + s.add_f64 * c.add_f64
+            + s.mul_f64 * c.mul_f64
+            + s.div_f64 * c.div_f64
+            + s.sqrt_f64 * c.sqrt_f64
+            + s.cmp_f64 * c.cmp_f64
+            + s.sign_f64 * c.sign_f64
+            + s.sincos_f64 * c.sincos_f64
+            + s.convert * c.convert;
+        s
+    }
+
+    /// Cycles charged so far: Σ count × cost.
+    pub fn cycles(&self) -> u64 {
+        self.stats().cycles
     }
 
     /// Clears counters and the ledger.
     pub fn reset(&mut self) {
-        self.stats = FpuStats::default();
+        self.counts = [0; OP_KINDS];
     }
 
+    #[inline]
     fn charge(&mut self, op: FpOp) {
-        self.stats.cycles += self.costs.of(op);
-        match op {
-            FpOp::AddF32 => self.stats.add_f32 += 1,
-            FpOp::MulF32 => self.stats.mul_f32 += 1,
-            FpOp::DivF32 => self.stats.div_f32 += 1,
-            FpOp::SqrtF32 => self.stats.sqrt_f32 += 1,
-            FpOp::CmpF32 => self.stats.cmp_f32 += 1,
-            FpOp::AddF64 => self.stats.add_f64 += 1,
-            FpOp::MulF64 => self.stats.mul_f64 += 1,
-            FpOp::DivF64 => self.stats.div_f64 += 1,
-            FpOp::SqrtF64 => self.stats.sqrt_f64 += 1,
-            FpOp::CmpF64 => self.stats.cmp_f64 += 1,
-            FpOp::SignF64 => self.stats.sign_f64 += 1,
-            FpOp::SinCosF64 => self.stats.sincos_f64 += 1,
-            FpOp::Convert => self.stats.convert += 1,
-        }
+        self.counts[op as usize] += 1;
     }
 
     /// f64 addition.
+    #[inline]
     pub fn add_f64(&mut self, a: Sf64, b: Sf64) -> Sf64 {
         self.charge(FpOp::AddF64);
         f64impl::add(a, b)
     }
 
     /// f64 subtraction.
+    #[inline]
     pub fn sub_f64(&mut self, a: Sf64, b: Sf64) -> Sf64 {
         self.charge(FpOp::AddF64);
         f64impl::sub(a, b)
     }
 
     /// f64 multiplication.
+    #[inline]
     pub fn mul_f64(&mut self, a: Sf64, b: Sf64) -> Sf64 {
         self.charge(FpOp::MulF64);
         f64impl::mul(a, b)
     }
 
     /// f64 division.
+    #[inline]
     pub fn div_f64(&mut self, a: Sf64, b: Sf64) -> Sf64 {
         self.charge(FpOp::DivF64);
         f64impl::div(a, b)
     }
 
     /// f64 square root.
+    #[inline]
     pub fn sqrt_f64(&mut self, a: Sf64) -> Sf64 {
         self.charge(FpOp::SqrtF64);
         f64impl::sqrt(a)
     }
 
     /// f64 less-than.
+    #[inline]
     pub fn lt_f64(&mut self, a: Sf64, b: Sf64) -> bool {
         self.charge(FpOp::CmpF64);
         f64impl::lt(a, b)
     }
 
     /// f64 equality.
+    #[inline]
     pub fn eq_f64(&mut self, a: Sf64, b: Sf64) -> bool {
         self.charge(FpOp::CmpF64);
         f64impl::eq(a, b)
     }
 
     /// f64 negation (sign-bit flip).
+    #[inline]
     pub fn neg_f64(&mut self, a: Sf64) -> Sf64 {
         self.charge(FpOp::SignF64);
         a.neg()
     }
 
     /// f64 absolute value (sign-bit clear).
+    #[inline]
     pub fn abs_f64(&mut self, a: Sf64) -> Sf64 {
         self.charge(FpOp::SignF64);
         a.abs()
@@ -309,6 +353,7 @@ impl SoftFpu {
     /// link a polynomial routine); only the cycle cost models the
     /// software evaluation, so emulated trig stays bit-identical to the
     /// native reference.
+    #[inline]
     pub fn sin_cos_f64(&mut self, a: Sf64) -> (Sf64, Sf64) {
         self.charge(FpOp::SinCosF64);
         let (s, c) = a.to_f64().sin_cos();
@@ -316,60 +361,70 @@ impl SoftFpu {
     }
 
     /// f32 addition.
+    #[inline]
     pub fn add_f32(&mut self, a: Sf32, b: Sf32) -> Sf32 {
         self.charge(FpOp::AddF32);
         f32impl::add(a, b)
     }
 
     /// f32 subtraction.
+    #[inline]
     pub fn sub_f32(&mut self, a: Sf32, b: Sf32) -> Sf32 {
         self.charge(FpOp::AddF32);
         f32impl::sub(a, b)
     }
 
     /// f32 multiplication.
+    #[inline]
     pub fn mul_f32(&mut self, a: Sf32, b: Sf32) -> Sf32 {
         self.charge(FpOp::MulF32);
         f32impl::mul(a, b)
     }
 
     /// f32 division.
+    #[inline]
     pub fn div_f32(&mut self, a: Sf32, b: Sf32) -> Sf32 {
         self.charge(FpOp::DivF32);
         f32impl::div(a, b)
     }
 
     /// f32 square root.
+    #[inline]
     pub fn sqrt_f32(&mut self, a: Sf32) -> Sf32 {
         self.charge(FpOp::SqrtF32);
         f32impl::sqrt(a)
     }
 
     /// f32 less-than.
+    #[inline]
     pub fn lt_f32(&mut self, a: Sf32, b: Sf32) -> bool {
         self.charge(FpOp::CmpF32);
         f32impl::lt(a, b)
     }
 
     /// i32 to f64.
+    #[inline]
     pub fn i32_to_f64(&mut self, x: i32) -> Sf64 {
         self.charge(FpOp::Convert);
         f64impl::from_i32(x)
     }
 
     /// f64 to i32 (truncating).
+    #[inline]
     pub fn f64_to_i32(&mut self, x: Sf64) -> i32 {
         self.charge(FpOp::Convert);
         f64impl::to_i32_trunc(x)
     }
 
     /// f32 to f64 (exact).
+    #[inline]
     pub fn f32_to_f64(&mut self, x: Sf32) -> Sf64 {
         self.charge(FpOp::Convert);
         convert::f32_to_f64(x)
     }
 
     /// f64 to f32 (rounding).
+    #[inline]
     pub fn f64_to_f32(&mut self, x: Sf64) -> Sf32 {
         self.charge(FpOp::Convert);
         convert::f64_to_f32(x)
@@ -394,7 +449,7 @@ mod tests {
         let _ = fpu.mul_f64(one, one);
         let _ = fpu.div_f64(one, one);
         let _ = fpu.sqrt_f64(one);
-        let stats = *fpu.stats();
+        let stats = fpu.stats();
         assert_eq!(stats.add_f64, 1);
         assert_eq!(stats.mul_f64, 1);
         assert_eq!(stats.div_f64, 1);
@@ -411,6 +466,116 @@ mod tests {
         let mut fpu = SoftFpu::with_costs(costs);
         let _ = fpu.add_f64(Sf64::ONE, Sf64::ONE);
         assert_eq!(fpu.stats().cycles, 1000);
+    }
+
+    /// Runs one operation of kind `op` through the FPU's entry point.
+    fn perform(fpu: &mut SoftFpu, op: FpOp) {
+        let (x, y) = (Sf64::from_f64(1.5), Sf64::from_f64(-2.25));
+        let (p, q) = (Sf32::from_f32(1.5), Sf32::from_f32(-2.25));
+        match op {
+            FpOp::AddF32 => {
+                fpu.add_f32(p, q);
+            }
+            FpOp::MulF32 => {
+                fpu.mul_f32(p, q);
+            }
+            FpOp::DivF32 => {
+                fpu.div_f32(p, q);
+            }
+            FpOp::SqrtF32 => {
+                fpu.sqrt_f32(p);
+            }
+            FpOp::CmpF32 => {
+                fpu.lt_f32(p, q);
+            }
+            FpOp::AddF64 => {
+                fpu.sub_f64(x, y);
+            }
+            FpOp::MulF64 => {
+                fpu.mul_f64(x, y);
+            }
+            FpOp::DivF64 => {
+                fpu.div_f64(x, y);
+            }
+            FpOp::SqrtF64 => {
+                fpu.sqrt_f64(x);
+            }
+            FpOp::CmpF64 => {
+                fpu.eq_f64(x, y);
+            }
+            FpOp::SignF64 => {
+                fpu.neg_f64(x);
+            }
+            FpOp::SinCosF64 => {
+                fpu.sin_cos_f64(x);
+            }
+            FpOp::Convert => {
+                fpu.f64_to_i32(x);
+            }
+        }
+    }
+
+    /// The derived ledger is Σ count × cost for every op kind, under
+    /// costs where every kind has its own price, so a wrong count, a
+    /// wrong price or a missing term shows.
+    #[test]
+    fn derived_cycles_are_count_times_cost_for_every_op() {
+        let costs = CycleCosts {
+            add_f32: 2,
+            mul_f32: 3,
+            div_f32: 5,
+            sqrt_f32: 7,
+            cmp_f32: 11,
+            add_f64: 13,
+            mul_f64: 17,
+            div_f64: 19,
+            sqrt_f64: 23,
+            cmp_f64: 29,
+            sign_f64: 31,
+            sincos_f64: 37,
+            convert: 41,
+        };
+        let ops = [
+            FpOp::AddF32,
+            FpOp::MulF32,
+            FpOp::DivF32,
+            FpOp::SqrtF32,
+            FpOp::CmpF32,
+            FpOp::AddF64,
+            FpOp::MulF64,
+            FpOp::DivF64,
+            FpOp::SqrtF64,
+            FpOp::CmpF64,
+            FpOp::SignF64,
+            FpOp::SinCosF64,
+            FpOp::Convert,
+        ];
+        let mut fpu = SoftFpu::with_costs(costs);
+        let mut want = 0;
+        for (i, &op) in ops.iter().enumerate() {
+            for _ in 0..=i {
+                perform(&mut fpu, op);
+            }
+            want += (i as u64 + 1) * costs.of(op);
+        }
+        let expected = FpuStats {
+            add_f32: 1,
+            mul_f32: 2,
+            div_f32: 3,
+            sqrt_f32: 4,
+            cmp_f32: 5,
+            add_f64: 6,
+            mul_f64: 7,
+            div_f64: 8,
+            sqrt_f64: 9,
+            cmp_f64: 10,
+            sign_f64: 11,
+            sincos_f64: 12,
+            convert: 13,
+            cycles: want,
+        };
+        assert_eq!(fpu.stats(), expected);
+        assert_eq!(fpu.cycles(), want);
     }
 
     #[test]
@@ -447,7 +612,7 @@ mod tests {
         let (s, c) = fpu.sin_cos_f64(Sf64::ZERO);
         assert_eq!(s.to_f64(), 0.0);
         assert_eq!(c.to_f64(), 1.0);
-        let stats = *fpu.stats();
+        let stats = fpu.stats();
         assert_eq!(stats.sign_f64, 2);
         assert_eq!(stats.sincos_f64, 1);
         assert_eq!(stats.cmp_f64, 1);
