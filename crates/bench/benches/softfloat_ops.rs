@@ -11,7 +11,7 @@
 
 use boresight::arith::{Arith, SoftArith};
 use criterion::{criterion_group, criterion_main, Criterion};
-use fpga::softfloat::{f32impl, f64impl, Sf32, Sf64, SoftFpu};
+use fpga::softfloat::{f64impl, Sf64, SoftFpu};
 use rand::{RngExt as _, SeedableRng as _};
 use std::hint::black_box;
 
@@ -85,18 +85,6 @@ fn bench_softfloat(c: &mut Criterion) {
     let mut arith = SoftArith::default();
     bench_stream(c, "softfloat/soft_arith_fma", &ops, |a, b, x| {
         arith.fma(a, b, x)
-    });
-
-    let a32 = Sf32::from_f32(std::f32::consts::PI);
-    let b32 = Sf32::from_f32(std::f32::consts::E);
-    c.bench_function("softfloat/add_f32", |bench| {
-        bench.iter(|| f32impl::add(black_box(a32), black_box(b32)))
-    });
-    c.bench_function("softfloat/mul_f32", |bench| {
-        bench.iter(|| f32impl::mul(black_box(a32), black_box(b32)))
-    });
-    c.bench_function("softfloat/div_f32", |bench| {
-        bench.iter(|| f32impl::div(black_box(a32), black_box(b32)))
     });
 }
 

@@ -4,11 +4,8 @@
 //! A roster of catalog vehicles (distinct seeds, cycling every
 //! scenario) is admitted into a [`Fleet`] and driven for a fixed
 //! number of epochs; each epoch advances every vehicle one 5 ms sensor
-//! tick through the lane-group IEKF. The whole measurement runs twice,
-//! once per lane substrate — the autovectorized `F64Arith` lane groups
-//! (the committed baseline) and the explicit-SIMD [`SimdF64`]
-//! substrate — so the frontier's substrate choice is priced at fleet
-//! scale, not just per filter. The benchmark reports, per substrate:
+//! tick through the `F64Arith` lane-group IEKF. The benchmark
+//! reports:
 //!
 //! - **vehicle-ticks/s** — the headline: vehicles x epoch rate, i.e.
 //!   how many 200 Hz vehicles the host sustains in real time is
@@ -30,10 +27,8 @@
 //! attribution (ingest / compute / sideband / steal / barrier) is
 //! printed as a table and written to the reports.
 //!
-//! Results land in `bench_out/BENCH_fleet.json` (f64 figures at the
-//! top level, byte-compatible with older baselines; explicit-SIMD
-//! figures under `"simd"`; scheduling attribution under
-//! `"epoch_profile"`) plus a standalone
+//! Results land in `bench_out/BENCH_fleet.json` (scheduling
+//! attribution under `"epoch_profile"`) plus a standalone
 //! `bench_out/BENCH_epoch_profile.json` for CI artifact upload, and
 //! are compared against `bench_baselines/` when the committed baseline
 //! ran the same roster. Run with `cargo run --release -p bench_suite
@@ -52,12 +47,11 @@ use bench_suite::{
     Json,
 };
 use boresight::adaptive::{HysteresisPolicy, SubstrateId};
-use boresight::arith::{F64Arith, LaneSpec};
+use boresight::arith::F64Arith;
 use boresight::catalog;
 use boresight::exec;
 use boresight::fleet::{EpochProfile, Fleet, FleetConfig, FleetStats, PhaseStats, VehicleId};
 use boresight::oracle::FusionOracle;
-use boresight::simd::SimdF64;
 use boresight::spec::Substrate;
 use std::time::Instant;
 
@@ -71,7 +65,7 @@ fn percentile(sorted_us: &[f64], q: f64) -> f64 {
     sorted_us[idx]
 }
 
-/// One substrate's measured fleet run.
+/// One measured fleet run.
 struct FleetRun {
     substrate: &'static str,
     wall_s: f64,
@@ -98,26 +92,21 @@ struct FleetRun {
 
 /// Adaptive sideband vehicles admitted next to the lane roster — a
 /// handful is enough to price reconfiguration at fleet scale without
-/// distorting the lane-substrate comparison the benchmark is for.
+/// distorting the lane arena's throughput the benchmark is for.
 const ADAPTIVE_VEHICLES: usize = 8;
 
-/// Admits the roster into a fresh [`Fleet`] on substrate `A`, drives it
-/// `epochs` ticks past a warm-up, and reads every statistic off it.
-/// Identical roster, seeds and tick schedule per substrate — only the
-/// lane arithmetic differs.
-fn run_fleet<A>(
+/// Admits the roster into a fresh `f64` [`Fleet`], drives it `epochs`
+/// ticks past a warm-up, and reads every statistic off it.
+fn run_fleet(
     substrate: &'static str,
     vehicles: usize,
     epochs: usize,
     shards: usize,
     workers: usize,
     seed_base: u64,
-) -> FleetRun
-where
-    A: LaneSpec<8> + Clone + Default,
-{
+) -> FleetRun {
     let base = catalog::all();
-    let mut fleet: Fleet<A, 8> = Fleet::new(FleetConfig {
+    let mut fleet: Fleet<F64Arith, 8> = Fleet::new(FleetConfig {
         shards,
         tick_dt: TICK_DT,
         ..FleetConfig::default()
@@ -216,7 +205,7 @@ where
         p50_us: percentile(&laps_us, 0.50),
         p99_us: percentile(&laps_us, 0.99),
         max_us: *laps_us.last().unwrap_or(&f64::NAN),
-        bytes_per_vehicle: Fleet::<A, 8>::bytes_per_vehicle(),
+        bytes_per_vehicle: Fleet::<F64Arith, 8>::bytes_per_vehicle(),
         stats,
         profile,
         oracle_findings,
@@ -290,8 +279,7 @@ fn print_profile(substrate: &str, profile: &EpochProfile) {
     );
 }
 
-/// The per-substrate statistics block shared by the legacy top level
-/// (f64) and the `"simd"` sub-object.
+/// The run's statistics block, at the report's top level.
 fn run_json(run: &FleetRun) -> Vec<(String, Json)> {
     vec![
         ("wall_s".into(), Json::Num(run.wall_s)),
@@ -376,12 +364,8 @@ fn main() {
     );
 
     // Roster: the full catalog, cycled, distinct seeds, durations long
-    // enough that nobody completes mid-measurement. Same roster per
-    // substrate.
-    let runs = [
-        run_fleet::<F64Arith>("f64", vehicles, epochs, shards, workers, seed_base),
-        run_fleet::<SimdF64>("simd/f64", vehicles, epochs, shards, workers, seed_base),
-    ];
+    // enough that nobody completes mid-measurement.
+    let run = run_fleet("f64", vehicles, epochs, shards, workers, seed_base);
 
     print_table(
         &format!(
@@ -399,51 +383,37 @@ fn main() {
             "max epoch",
             "bytes/session",
         ],
-        &runs
-            .iter()
-            .map(|run| {
-                vec![
-                    run.substrate.to_string(),
-                    format!("{:.0}", run.vehicle_ticks_per_sec),
-                    format!("{:.0}", run.realtime_vehicles),
-                    format!("{:.0}", run.updates_per_sec),
-                    format!("{:.0} us", run.p50_us),
-                    format!("{:.0} us", run.p99_us),
-                    format!("{:.0} us", run.max_us),
-                    format!("{}", run.bytes_per_vehicle),
-                ]
-            })
-            .collect::<Vec<_>>(),
+        &[vec![
+            run.substrate.to_string(),
+            format!("{:.0}", run.vehicle_ticks_per_sec),
+            format!("{:.0}", run.realtime_vehicles),
+            format!("{:.0}", run.updates_per_sec),
+            format!("{:.0} us", run.p50_us),
+            format!("{:.0} us", run.p99_us),
+            format!("{:.0} us", run.max_us),
+            format!("{}", run.bytes_per_vehicle),
+        ]],
     );
-    for run in &runs {
-        println!(
-            "{}: ingress {} enqueued, {} dropped, {} deferred, high water {}; {} evicted",
-            run.substrate,
-            run.stats.ingress.enqueued,
-            run.stats.ingress.dropped,
-            run.stats.ingress.deferred,
-            run.stats.ingress.high_water,
-            run.stats.evicted,
-        );
-        println!(
-            "{}: adaptive sideband: {} vehicles, {} substrate switches, {} saturations",
-            run.substrate,
-            run.adaptive_vehicles,
-            run.stats.substrate_switches,
-            run.stats.saturations,
-        );
-        for (t, from, to) in run.adaptive_switch_log.iter().take(8) {
-            println!("{}:   t={t:.2}s {from} -> {to}", run.substrate);
-        }
+    println!(
+        "{}: ingress {} enqueued, {} dropped, {} deferred, high water {}; {} evicted",
+        run.substrate,
+        run.stats.ingress.enqueued,
+        run.stats.ingress.dropped,
+        run.stats.ingress.deferred,
+        run.stats.ingress.high_water,
+        run.stats.evicted,
+    );
+    println!(
+        "{}: adaptive sideband: {} vehicles, {} substrate switches, {} saturations",
+        run.substrate, run.adaptive_vehicles, run.stats.substrate_switches, run.stats.saturations,
+    );
+    for (t, from, to) in run.adaptive_switch_log.iter().take(8) {
+        println!("{}:   t={t:.2}s {from} -> {to}", run.substrate);
     }
-    for run in &runs {
-        print_profile(run.substrate, &run.profile);
-    }
+    print_profile(run.substrate, &run.profile);
 
     // --- Artifact (written before the gates, so a failing smoke run
-    // still leaves numbers behind for diagnosis). The f64 run keeps
-    // the legacy top-level layout so older baselines stay comparable;
-    // the explicit-SIMD run nests under "simd". --------------------
+    // still leaves numbers behind for diagnosis). ---------------------
     let mut fields = vec![
         ("bench".into(), Json::Str("fleet".into())),
         ("vehicles".into(), Json::Int(vehicles as u64)),
@@ -454,8 +424,7 @@ fn main() {
         ("seed".into(), Json::Int(seed_base)),
         ("tick_dt_s".into(), Json::Num(TICK_DT)),
     ];
-    fields.extend(run_json(&runs[0]));
-    fields.push(("simd".into(), Json::Obj(run_json(&runs[1]))));
+    fields.extend(run_json(&run));
     let doc = Json::Obj(fields);
     let path = write_json("BENCH_fleet.json", &doc);
     println!("wrote {}", path.display());
@@ -470,8 +439,7 @@ fn main() {
         ("shards".into(), Json::Int(shards as u64)),
         ("workers".into(), Json::Int(workers as u64)),
         ("cores".into(), Json::Int(cores as u64)),
-        ("f64".into(), profile_json(&runs[0].profile)),
-        ("simd".into(), profile_json(&runs[1].profile)),
+        ("f64".into(), profile_json(&run.profile)),
     ]);
     let profile_path = write_json("BENCH_epoch_profile.json", &profile_doc);
     println!("wrote {}", profile_path.display());
@@ -495,9 +463,6 @@ fn main() {
                     "p50_epoch_us",
                     "p99_epoch_us",
                     "epoch_profile.overhead_fraction",
-                    "simd.vehicle_ticks_per_sec",
-                    "simd.p99_epoch_us",
-                    "simd.epoch_profile.overhead_fraction",
                 ],
             );
             print_baseline_deltas("vs committed bench_baselines/ (wall clock)", &deltas);
@@ -517,17 +482,17 @@ fn main() {
             Some(baseline_ticks) => {
                 let floor = baseline_ticks * floor_frac;
                 assert!(
-                    runs[0].vehicle_ticks_per_sec >= floor,
+                    run.vehicle_ticks_per_sec >= floor,
                     "vehicle-ticks/s floor breached: {:.0} < {:.0} \
                      ({:.0}% of the committed baseline {:.0})",
-                    runs[0].vehicle_ticks_per_sec,
+                    run.vehicle_ticks_per_sec,
                     floor,
                     floor_frac * 100.0,
                     baseline_ticks
                 );
                 println!(
                     "ticks-floor gate passed: {:.0} >= {:.0} ({:.0}% of baseline)",
-                    runs[0].vehicle_ticks_per_sec,
+                    run.vehicle_ticks_per_sec,
                     floor,
                     floor_frac * 100.0
                 );
@@ -541,13 +506,13 @@ fn main() {
     // scale onto; smaller runners skip it loudly rather than fail. ----
     if args.has_flag("gate-scaling") {
         if cores >= 4 && workers >= 2 {
-            let single = run_fleet::<F64Arith>("f64/1w", vehicles, epochs, shards, 1, seed_base);
-            let ratio = runs[0].vehicle_ticks_per_sec / single.vehicle_ticks_per_sec;
-            let overhead = runs[0].profile.overhead_fraction();
+            let single = run_fleet("f64/1w", vehicles, epochs, shards, 1, seed_base);
+            let ratio = run.vehicle_ticks_per_sec / single.vehicle_ticks_per_sec;
+            let overhead = run.profile.overhead_fraction();
             println!(
                 "scaling: {workers} workers {:.0} ticks/s vs 1 worker {:.0} ticks/s \
                  = {ratio:.2}x; scheduling overhead {:.2}%",
-                runs[0].vehicle_ticks_per_sec,
+                run.vehicle_ticks_per_sec,
                 single.vehicle_ticks_per_sec,
                 overhead * 100.0
             );
@@ -570,63 +535,56 @@ fn main() {
     }
 
     // --- Health gates (the CI smoke contract) -----------------------
-    for run in &runs {
-        for (name, value) in [
-            ("vehicle_ticks_per_sec", run.vehicle_ticks_per_sec),
-            ("updates_per_sec", run.updates_per_sec),
-            ("p50_epoch_us", run.p50_us),
-            ("p99_epoch_us", run.p99_us),
-            ("max_epoch_us", run.max_us),
-        ] {
-            assert!(
-                value.is_finite(),
-                "{}: {name} is not finite: {value}",
-                run.substrate
-            );
-        }
+    for (name, value) in [
+        ("vehicle_ticks_per_sec", run.vehicle_ticks_per_sec),
+        ("updates_per_sec", run.updates_per_sec),
+        ("p50_epoch_us", run.p50_us),
+        ("p99_epoch_us", run.p99_us),
+        ("max_epoch_us", run.max_us),
+    ] {
         assert!(
-            run.updates_per_sec > 0.0,
-            "{}: the fleet did not stream",
+            value.is_finite(),
+            "{}: {name} is not finite: {value}",
             run.substrate
-        );
-        assert!(
-            run.sampled_estimates > 0,
-            "{}: fleet emptied mid-benchmark",
-            run.substrate
-        );
-        assert!(
-            run.oracle_findings.is_empty(),
-            "{}: oracle-flagged estimates/ledgers: {:#?}",
-            run.substrate,
-            run.oracle_findings
         );
     }
+    assert!(
+        run.updates_per_sec > 0.0,
+        "{}: the fleet did not stream",
+        run.substrate
+    );
+    assert!(
+        run.sampled_estimates > 0,
+        "{}: fleet emptied mid-benchmark",
+        run.substrate
+    );
+    assert!(
+        run.oracle_findings.is_empty(),
+        "{}: oracle-flagged estimates/ledgers: {:#?}",
+        run.substrate,
+        run.oracle_findings
+    );
     println!(
         "health gates passed: finite stats, sampled estimates and sideband ledgers pass the oracle"
     );
 
     if smoke {
-        for run in &runs {
-            assert!(
-                run.p99_us <= p99_gate_ms * 1e3,
-                "{}: p99 epoch latency gate breached: {:.0} us > {:.0} us",
-                run.substrate,
-                run.p99_us,
-                p99_gate_ms * 1e3
-            );
-            // The sideband starts on Q16.16 across the catalog; the
-            // dynamic scenarios stress it within the first decision
-            // window, so a silent zero here means the supervisor
-            // stopped observing context at fleet scale.
-            assert!(
-                run.stats.substrate_switches > 0,
-                "{}: adaptive sideband recorded no substrate switches",
-                run.substrate
-            );
-        }
-        println!(
-            "smoke p99 gate passed on both substrates: <= {:.0} us",
+        assert!(
+            run.p99_us <= p99_gate_ms * 1e3,
+            "{}: p99 epoch latency gate breached: {:.0} us > {:.0} us",
+            run.substrate,
+            run.p99_us,
             p99_gate_ms * 1e3
         );
+        // The sideband starts on Q16.16 across the catalog; the
+        // dynamic scenarios stress it within the first decision
+        // window, so a silent zero here means the supervisor
+        // stopped observing context at fleet scale.
+        assert!(
+            run.stats.substrate_switches > 0,
+            "{}: adaptive sideband recorded no substrate switches",
+            run.substrate
+        );
+        println!("smoke p99 gate passed: <= {:.0} us", p99_gate_ms * 1e3);
     }
 }

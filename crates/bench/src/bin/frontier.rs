@@ -18,31 +18,22 @@
 //! (0 when the substrate has no cycle model), measured lane-samples/sec
 //! wall throughput, and saturation counts for the fixed-point family.
 //!
-//! Substrates: counted `f64` lanes (the autovectorized baseline the
-//! explicit-SIMD rows must beat), explicit-SIMD `f64`
-//! ([`SimdF64`] — SSE2 with the `simd` cargo feature, portable scalar
-//! loops without), native `f32`, emulated softfloat, and the Q-format
-//! family Q16.16 / Q8.24 / Q4.28 (Q4.28's ±8 range cannot even hold
+//! Substrates: counted `f64` lanes (the autovectorized baseline),
+//! native `f32`, emulated softfloat, and the Q-format family Q16.16 / Q8.24 / Q4.28 (Q4.28's ±8 range cannot even hold
 //! gravity — it is the frontier's worked example of a substrate priced
 //! below the problem).
 //!
 //! Results land in `bench_out/BENCH_frontier.json` (committed snapshot
 //! in `bench_baselines/`). Run with `cargo run --release -p bench_suite
-//! --bin frontier [steps] [target_lane_samples] [--gate-simd]`
-//! (defaults 4000 and 20000). The run always fails on non-finite cells;
-//! `--gate-simd` additionally fails unless explicit-SIMD f64 beats the
-//! counted lane baseline's samples/sec head-to-head at widths 4 and 8
-//! (x16 is measured and printed but not asserted — see the gate code).
+//! --bin frontier [steps] [target_lane_samples]` (defaults 4000 and
+//! 20000). The run fails on non-finite cells.
 
 use bench_suite::{
     compare_labeled_to_baseline, load_baseline, print_baseline_deltas, print_table, write_json,
     BenchArgs, Json,
 };
-use boresight::arith::{
-    Arith, F32Arith, F64Arith, F64ArithFast, LaneOps, LaneSpec, QArith, SoftArith,
-};
+use boresight::arith::{Arith, F32Arith, F64Arith, F64ArithFast, QArith, SoftArith};
 use boresight::lanes::LaneIekf;
-use boresight::simd::SimdF64;
 use boresight::spec::ScenarioSpec;
 use boresight::{catalog, FilterConfig, ImuPrep, RunningRms, SensorEvent};
 use mathx::{rad_to_deg, EulerAngles, Vec2};
@@ -150,7 +141,7 @@ const PASSES: usize = 3;
 /// cells accumulate enough lane-samples for a stable wall clock.
 fn run_cell<A, const L: usize>(stream: &Stream, target: usize) -> Cell
 where
-    A: LaneSpec<L> + Clone + Default,
+    A: Arith + Clone + Default,
 {
     let n = stream.samples.len();
     let reps = (target / (n * L)).max(1);
@@ -214,10 +205,11 @@ where
 }
 
 /// Replays the whole captured stream into `filter`, `reps` times.
-fn replay_pass<A, const L: usize>(filter: &mut LaneIekf<A, L>, stream: &Stream, reps: usize)
-where
-    A: LaneSpec<L> + Clone + Default,
-{
+fn replay_pass<A: Arith, const L: usize>(
+    filter: &mut LaneIekf<A, L>,
+    stream: &Stream,
+    reps: usize,
+) {
     for _ in 0..reps {
         for s in &stream.samples {
             filter.predict(s.dt);
@@ -234,43 +226,8 @@ where
     }
 }
 
-/// Head-to-head throughput for the SIMD acceptance gate: the counted
-/// `f64` lane baseline and the explicit-SIMD lanes at the same width,
-/// with timed passes interleaved A/B/A/B and the best of
-/// [`GATE_PASSES`] kept per side. Interleaving makes slow clock/load
-/// drift hit both contenders equally, so the comparison is much
-/// tighter than comparing two sweep cells measured minutes apart.
-fn gate_pair<const L: usize>(stream: &Stream, target: usize) -> (f64, f64) {
-    let n = stream.samples.len();
-    let reps = (target / (n * L)).max(1);
-    let mut base: LaneIekf<F64Arith, L> = LaneIekf::new(stream.filter);
-    let mut simd: LaneIekf<SimdF64, L> = LaneIekf::new(stream.filter);
-    replay_pass(&mut base, stream, 1);
-    replay_pass(&mut simd, stream, 1);
-    let (mut wall_base, mut wall_simd) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..GATE_PASSES {
-        let t = Instant::now();
-        replay_pass(&mut base, stream, reps);
-        wall_base = wall_base.min(t.elapsed().as_secs_f64().max(1e-9));
-        let t = Instant::now();
-        replay_pass(&mut simd, stream, reps);
-        wall_simd = wall_simd.min(t.elapsed().as_secs_f64().max(1e-9));
-    }
-    std::hint::black_box((base.angles(0), simd.angles(0)));
-    let lane_samples = (n * L * reps) as f64;
-    (lane_samples / wall_base, lane_samples / wall_simd)
-}
-
-/// Interleaved passes per side in [`gate_pair`]. The comparison takes
-/// each side's best pass, so more passes tighten both sides toward
-/// their true peak before the strict `>` check.
-const GATE_PASSES: usize = 9;
-
 /// Sweeps one substrate across every lane width.
-fn sweep<A>(stream: &Stream, target: usize, cells: &mut Vec<Cell>)
-where
-    A: LaneSpec<1> + LaneSpec<2> + LaneSpec<4> + LaneSpec<8> + LaneSpec<16> + Clone + Default,
-{
+fn sweep<A: Arith + Clone + Default>(stream: &Stream, target: usize, cells: &mut Vec<Cell>) {
     cells.push(run_cell::<A, 1>(stream, target));
     cells.push(run_cell::<A, 2>(stream, target));
     cells.push(run_cell::<A, 4>(stream, target));
@@ -301,7 +258,6 @@ fn main() {
     let mut cells: Vec<Cell> = Vec::new();
     for stream in &streams {
         sweep::<F64Arith>(stream, target, &mut cells);
-        sweep::<SimdF64>(stream, target, &mut cells);
         sweep::<F32Arith>(stream, target, &mut cells);
         sweep::<SoftArith>(stream, target, &mut cells);
         sweep::<QArith<16>>(stream, target, &mut cells);
@@ -409,41 +365,4 @@ fn main() {
         );
     }
     println!("non-finite gate passed: {} cells all finite", cells.len());
-
-    // --- Explicit-SIMD gate (opt-in: `--gate-simd`) ------------------
-    // The counted f64 lane rows pay ledger increments the SIMD rows
-    // don't, and wall clock is machine-dependent — so the "explicit
-    // beats autovectorized at width >= 4" acceptance gate is opt-in for
-    // CI's known runner class.
-    if args.has_flag("gate-simd") {
-        for name in SCENARIOS {
-            let stream = streams
-                .iter()
-                .find(|s| s.scenario == name)
-                .expect("captured stream");
-            // At x4 and x8 the fused-MAC traversal gives the explicit
-            // substrate an edge well above this box's timing noise, so
-            // those widths assert a strict win. At x16 a lane value is
-            // two cache lines and per-run code placement makes the
-            // margin bimodal, so that width is reported but not
-            // asserted — the frontier JSON still carries its cells.
-            for (width, asserted, (base, simd)) in [
-                (4usize, true, gate_pair::<4>(stream, target)),
-                (8, true, gate_pair::<8>(stream, target)),
-                (16, false, gate_pair::<16>(stream, target)),
-            ] {
-                println!(
-                    "gate {name} x{width}: f64 {:.0} samples/s vs simd/f64 {:.0} samples/s{}",
-                    base,
-                    simd,
-                    if asserted { "" } else { " (informational)" }
-                );
-                assert!(
-                    !asserted || simd > base,
-                    "explicit SIMD lost to the lane baseline at {name} x{width}: {simd:.0} <= {base:.0}"
-                );
-            }
-        }
-        println!("simd gate passed: explicit f64 lanes beat the counted lane baseline at x4/x8 and held x16");
-    }
 }

@@ -27,11 +27,10 @@ use bench_suite::{
     compare_labeled_to_baseline, compare_to_baseline, load_baseline, print_baseline_deltas,
     print_table, write_json, BenchArgs, Json,
 };
-use boresight::arith::{F64ArithFast, LaneSpec};
+use boresight::arith::{Arith, F64ArithFast};
 use boresight::exec;
 use boresight::lanes::LaneBank;
 use boresight::session::ChannelConfig;
-use boresight::simd::SimdF64;
 use boresight::spec::{ScenarioSpec, ScenarioSuite, Substrate, SuiteCell};
 use boresight::{catalog, FusionSession, SyntheticSource};
 use std::time::Instant;
@@ -78,7 +77,7 @@ impl HotPath {
 /// a single eight-wide [`LaneBank`] on substrate `A`.
 fn lane_bank_session<A>(spec: &ScenarioSpec) -> FusionSession
 where
-    A: LaneSpec<8> + Clone + Default + 'static,
+    A: Arith + Clone + Default + 'static,
 {
     let cfg = spec.config();
     let channel = ChannelConfig::from_scenario(&cfg);
@@ -143,19 +142,16 @@ fn main() {
             .build();
         hot.push(measure("f64/uncounted", session, hot_duration));
     }
-    // Lane-bank rows: eight channels of the same scenario fused by one
-    // eight-wide filter, on the uncounted autovectorized lanes and on
-    // the explicit-SIMD substrate. One "update" here is a fused
-    // eight-lane batch (x8 for lane-samples), so the lane-parallel
-    // payoff over the scalar rows is updates/s * 8 / scalar updates/s,
-    // and the gap between the two lane rows is explicit vectors vs the
-    // autovectorizer on the full session path.
-    for (label, session) in [
-        ("lanebank/f64x8", lane_bank_session::<F64ArithFast>(&spec)),
-        ("lanebank/simdx8", lane_bank_session::<SimdF64>(&spec)),
-    ] {
-        hot.push(measure(label, session, hot_duration));
-    }
+    // Lane-bank row: eight channels of the same scenario fused by one
+    // eight-wide filter on the uncounted autovectorized lanes. One
+    // "update" here is a fused eight-lane batch (x8 for lane-samples),
+    // so the lane-parallel payoff over the scalar rows is
+    // updates/s * 8 / scalar updates/s.
+    hot.push(measure(
+        "lanebank/f64x8",
+        lane_bank_session::<F64ArithFast>(&spec),
+        hot_duration,
+    ));
 
     print_table(
         &format!(
@@ -286,7 +282,6 @@ fn main() {
                 ("q16.16", "samples_per_sec"),
                 ("f64/uncounted", "samples_per_sec"),
                 ("lanebank/f64x8", "samples_per_sec"),
-                ("lanebank/simdx8", "samples_per_sec"),
             ],
         );
         deltas.extend(compare_to_baseline(baseline, &doc, &["matrix.speedup"]));

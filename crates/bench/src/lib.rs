@@ -174,8 +174,7 @@ pub fn load_baseline(name: &str) -> Option<Json> {
 /// Only single-lane cells are read (the adaptive supervisor swaps one
 /// scalar estimator), and only substrates the supervisor can actually
 /// switch to ([`SubstrateId::parse`] accepts the frontier's
-/// `softfloat/f64` spelling; `simd/f64` and the `q4.28` extremes are
-/// skipped). `None` when no baseline is committed or the scenario has
+/// `softfloat/f64` spelling; the `q4.28` extreme is skipped). `None` when no baseline is committed or the scenario has
 /// no single-lane cells.
 pub fn load_frontier_points(scenario: &str) -> Option<Vec<FrontierPoint>> {
     let report = load_baseline("BENCH_frontier.json")?;
@@ -540,14 +539,6 @@ mod tests {
             .expect("softfloat row");
         assert!(soft.lookup("cycles_per_sample").unwrap().as_f64().unwrap() > 0.0);
         let fleet = load_baseline("BENCH_fleet.json").expect("committed baseline");
-        assert!(
-            fleet
-                .lookup("simd.vehicle_ticks_per_sec")
-                .unwrap()
-                .as_f64()
-                .unwrap()
-                > 0.0
-        );
         // The persistent-executor schema: resolved worker + core
         // counts and the scheduling attribution the overhead gate and
         // ticks floor read.
@@ -558,25 +549,6 @@ mod tests {
             .as_f64()
             .unwrap();
         assert!((0.0..=1.0).contains(&overhead));
-        assert!(
-            fleet
-                .lookup("simd.epoch_profile.compute.p50_us")
-                .unwrap()
-                .as_f64()
-                .unwrap()
-                > 0.0
-        );
-        let frontier = load_baseline("BENCH_frontier.json").expect("committed baseline");
-        let simd8 = frontier
-            .find_labeled("cells", "paper-static/simd/f64x8")
-            .expect("explicit-SIMD x8 cell");
-        assert!(simd8.lookup("samples_per_sec").unwrap().as_f64().unwrap() > 0.0);
-        assert!(simd8
-            .lookup("rms_deg")
-            .unwrap()
-            .as_f64()
-            .unwrap()
-            .is_finite());
     }
 
     #[test]
@@ -584,8 +556,8 @@ mod tests {
         for scenario in ["paper-static", "highway-cruise"] {
             let points = load_frontier_points(scenario).expect("committed frontier");
             // Exactly the single-lane, switchable-substrate cells:
-            // f64, f32, softfloat, q16.16, q8.24 (simd/f64 and q4.28
-            // are filtered out).
+            // f64, f32, softfloat, q16.16, q8.24 (q4.28 is filtered
+            // out).
             assert_eq!(points.len(), 5, "{scenario}: {points:?}");
             for id in SubstrateId::all() {
                 let point = points

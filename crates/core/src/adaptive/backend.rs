@@ -195,11 +195,6 @@ impl AdaptiveBackend {
         self.initial_id
     }
 
-    /// The policy's name.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     /// The switch log.
     pub fn ledger(&self) -> &ReconfigLedger {
         &self.ledger

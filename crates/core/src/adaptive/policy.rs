@@ -129,79 +129,52 @@ impl ReconfigPolicy for PinnedPolicy {
 ///
 /// Stress — a gate-exceed burst, fixed-point saturation, or link gaps
 /// from a fault storm — upshifts immediately to the precision target.
-/// Downshifting back to the cheap target requires `calm_windows`
-/// *consecutive* quiet windows, so a storm's tail cannot make the
-/// supervisor thrash. The stress thresholds are deliberately above
-/// the calm ones (classic hysteresis band).
+/// Downshifting back to the cheap target requires three *consecutive*
+/// quiet windows, so a storm's tail cannot make the supervisor thrash.
+/// The stress thresholds are deliberately above the calm ones (classic
+/// hysteresis band).
 #[derive(Clone, Debug)]
 pub struct HysteresisPolicy {
     stress_target: SubstrateId,
     calm_target: SubstrateId,
-    exceed_upshift: f64,
-    exceed_downshift: f64,
-    saturation_upshift: f64,
-    gap_upshift: f64,
-    gap_downshift: f64,
-    calm_windows: u32,
     calm_streak: u32,
 }
 
 impl HysteresisPolicy {
-    /// A policy moving between an explicit stress/calm substrate pair
-    /// with the default thresholds.
+    /// Gate-exceed rate above which a window is stressed.
+    const EXCEED_UPSHIFT: f64 = 0.08;
+    /// Gate-exceed rate at or below which a window is calm.
+    const EXCEED_DOWNSHIFT: f64 = 0.02;
+    /// Saturation events per update above which a window is stressed.
+    const SATURATION_UPSHIFT: f64 = 0.01;
+    /// Link-gap rate above which a window is stressed.
+    const GAP_UPSHIFT: f64 = 0.02;
+    /// Link-gap rate at or below which a window is calm.
+    const GAP_DOWNSHIFT: f64 = 0.005;
+    /// Consecutive calm windows that earn a downshift.
+    const CALM_WINDOWS: u32 = 3;
+
+    /// A policy moving between an explicit stress/calm substrate pair.
     pub fn new(stress_target: SubstrateId, calm_target: SubstrateId) -> Self {
         Self {
             stress_target,
             calm_target,
-            exceed_upshift: 0.08,
-            exceed_downshift: 0.02,
-            saturation_upshift: 0.01,
-            gap_upshift: 0.02,
-            gap_downshift: 0.005,
-            calm_windows: 3,
             calm_streak: 0,
         }
     }
 
-    /// Overrides the gate-exceed thresholds (upshift above, calm
-    /// below).
-    pub fn with_exceed_band(mut self, upshift: f64, downshift: f64) -> Self {
-        self.exceed_upshift = upshift;
-        self.exceed_downshift = downshift;
-        self
-    }
-
-    /// Overrides the link-gap thresholds (upshift above, calm below).
-    pub fn with_gap_band(mut self, upshift: f64, downshift: f64) -> Self {
-        self.gap_upshift = upshift;
-        self.gap_downshift = downshift;
-        self
-    }
-
-    /// Overrides the saturation-events-per-update upshift threshold.
-    pub fn with_saturation_upshift(mut self, upshift: f64) -> Self {
-        self.saturation_upshift = upshift;
-        self
-    }
-
-    /// Overrides how many consecutive calm windows earn a downshift.
-    pub fn with_calm_windows(mut self, windows: u32) -> Self {
-        self.calm_windows = windows;
-        self
-    }
-
     /// `true` when a window demands the precision substrate.
-    fn stressed(&self, ctx: &ContextState) -> bool {
-        ctx.exceed_rate > self.exceed_upshift
-            || ctx.saturation_rate > self.saturation_upshift
-            || ctx.gap_rate > self.gap_upshift
+    fn stressed(ctx: &ContextState) -> bool {
+        ctx.exceed_rate > Self::EXCEED_UPSHIFT
+            || ctx.saturation_rate > Self::SATURATION_UPSHIFT
+            || ctx.gap_rate > Self::GAP_UPSHIFT
     }
 
     /// `true` when a window counts toward the calm streak.
-    fn calm(&self, ctx: &ContextState) -> bool {
-        ctx.exceed_rate <= self.exceed_downshift
+    fn calm(ctx: &ContextState) -> bool {
+        ctx.exceed_rate <= Self::EXCEED_DOWNSHIFT
             && ctx.saturation_rate == 0.0
-            && ctx.gap_rate <= self.gap_downshift
+            && ctx.gap_rate <= Self::GAP_DOWNSHIFT
     }
 }
 
@@ -222,19 +195,19 @@ impl ReconfigPolicy for HysteresisPolicy {
     }
 
     fn decide(&mut self, ctx: &ContextState, active: SubstrateId) -> Option<SubstrateId> {
-        if self.stressed(ctx) {
+        if Self::stressed(ctx) {
             self.calm_streak = 0;
             if active != self.stress_target {
                 return Some(self.stress_target);
             }
             return None;
         }
-        if self.calm(ctx) {
+        if Self::calm(ctx) {
             self.calm_streak = self.calm_streak.saturating_add(1);
         } else {
             self.calm_streak = 0;
         }
-        if self.calm_streak >= self.calm_windows && active != self.calm_target {
+        if self.calm_streak >= Self::CALM_WINDOWS && active != self.calm_target {
             self.calm_streak = 0;
             return Some(self.calm_target);
         }
@@ -278,12 +251,6 @@ impl FrontierPolicy {
             rms_target_deg,
             stress: HysteresisPolicy::default(),
         }
-    }
-
-    /// Replaces the embedded stress-detection band.
-    pub fn with_stress_band(mut self, band: HysteresisPolicy) -> Self {
-        self.stress = band;
-        self
     }
 
     /// The RMS target, degrees.

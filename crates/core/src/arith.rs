@@ -22,9 +22,7 @@
 //! * `L` lockstep lanes of any of the above ([`LaneArith`]) — the
 //!   software mirror of an FPGA's replicated parallel datapath,
 //!   stepping `L` independent filters per instruction stream (see
-//!   [`crate::lanes`]) — or the explicit-vector `f64` lanes of
-//!   [`crate::simd::SimdArith`], selected per scalar substrate through
-//!   [`LaneSpec`].
+//!   [`crate::lanes`]).
 //!
 //! # The widened trait
 //!
@@ -913,7 +911,7 @@ impl<const FRAC: u32> Arith for QArith<FRAC> {
 /// to running the inner substrate alone (the property the lane-parity
 /// tests pin), because a lane never observes its neighbours.
 ///
-/// # Collective comparisons vs SIMD masks
+/// # Collective comparisons
 ///
 /// [`Arith::lt`] and [`Arith::eq`] must return one `bool`, so here
 /// they are *collective*: true only when every lane agrees. Lockstep
@@ -923,20 +921,6 @@ impl<const FRAC: u32> Arith for QArith<FRAC> {
 /// own writes — which is exactly what [`crate::lanes::LaneIekf`] does.
 /// [`Arith::max`] and [`Arith::abs`] stay element-wise (they are value
 /// selections, not control flow).
-///
-/// The explicit-vector substrate [`crate::simd::SimdArith`] honours
-/// the identical contract, but by *mask* semantics: its per-lane probe
-/// ([`LaneOps::lane_lt`]) is a hardware compare producing a lane mask
-/// (`cmppd` + `movemask` on SSE2), and its collective [`Arith::lt`] /
-/// [`Arith::eq`] are the all-lanes reduction of that mask. Divergence
-/// handling is therefore the same on both lane substrates — every lane
-/// executes every instruction and the *caller* masks the writes of
-/// lanes that left the common control path — which is why
-/// [`crate::lanes::LaneIekf`] is generic over [`LaneOps`] and stays
-/// per-lane bit-identical to the scalar filter on either. The two
-/// differ only in how the lanes are computed: a per-lane loop over the
-/// inner substrate here (autovectorized at best), one vector
-/// instruction per op there.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LaneArith<A: Arith, const L: usize> {
     inner: A,
@@ -1062,117 +1046,6 @@ impl<A: Arith, const L: usize> Arith for LaneArith<A, L> {
     fn reset_saturation_counts(&mut self) {
         self.inner.reset_saturation_counts();
     }
-}
-
-/// A scalar substrate that knows its `L`-lane batched form.
-///
-/// This is the compile-time link [`crate::lanes::LaneIekf`] (and the
-/// fleet arena on top of it) uses to pick a lane substrate per scalar
-/// substrate: every counted/emulated/fixed-point scalar maps to the
-/// generic per-lane loop [`LaneArith<Self, L>`], while the
-/// [`crate::simd::SimdF64`] marker maps to the explicit-vector
-/// [`crate::simd::SimdArith<L>`]. Code written against
-/// `A: LaneSpec<L>` is oblivious to the choice — both lane forms
-/// implement [`LaneOps`] and both keep each lane bit-identical to a
-/// scalar run.
-pub trait LaneSpec<const L: usize>: Arith + Sized
-where
-    <Self::Lanes as Arith>::T: std::ops::IndexMut<usize, Output = Self::T>,
-{
-    /// The lane substrate stepping `L` values of `Self` in lockstep.
-    type Lanes: LaneOps<L, Inner = Self> + Clone + std::fmt::Debug;
-}
-
-/// The operations a lane substrate offers beyond [`Arith`]: lane
-/// construction, per-lane read-out and the per-lane compare probe that
-/// masked control flow is built from.
-///
-/// The `IndexMut` bound is the load-bearing part of the contract: a
-/// lane value must expose its lanes as `value[lane]` scalars of the
-/// inner substrate, so lockstep callers (masked state adoption in
-/// [`crate::lanes::LaneIekf`], staged-measurement scatter in the fleet
-/// arena) write diverged lanes back element-wise regardless of whether
-/// the storage is a plain array ([`LaneArith`]) or an explicit vector
-/// register image ([`crate::simd::F64Lanes`]).
-pub trait LaneOps<const L: usize>: Arith
-where
-    Self::T: std::ops::IndexMut<usize, Output = <Self::Inner as Arith>::T>,
-{
-    /// The scalar substrate a lane holds `L` values of.
-    type Inner: Arith;
-
-    /// Wraps an inner substrate context.
-    fn with_inner(inner: Self::Inner) -> Self;
-
-    /// The inner substrate context (one shared ledger across lanes).
-    fn inner(&self) -> &Self::Inner;
-
-    /// The inner substrate context, mutably.
-    fn inner_mut(&mut self) -> &mut Self::Inner;
-
-    /// Builds a lane value from per-lane `f64`s. Takes `&mut self`
-    /// (unlike the usual `from_*` convention) because substrate
-    /// conversions go through [`Arith::num`], which mutates the
-    /// instrumentation ledger.
-    #[allow(clippy::wrong_self_convention)]
-    fn from_lanes(&mut self, xs: [f64; L]) -> Self::T;
-
-    /// Broadcasts one inner scalar to every lane.
-    fn splat(&mut self, v: <Self::Inner as Arith>::T) -> Self::T;
-
-    /// Reads one lane back as `f64`.
-    fn lane_to_f64(&self, v: &Self::T, lane: usize) -> f64;
-
-    /// Per-lane strict less-than — the masked-control-flow probe.
-    fn lane_lt(&mut self, a: &Self::T, b: &Self::T) -> [bool; L];
-}
-
-impl<A: Arith, const L: usize> LaneOps<L> for LaneArith<A, L> {
-    type Inner = A;
-
-    fn with_inner(inner: A) -> Self {
-        Self { inner }
-    }
-
-    fn inner(&self) -> &A {
-        &self.inner
-    }
-
-    fn inner_mut(&mut self) -> &mut A {
-        &mut self.inner
-    }
-
-    fn from_lanes(&mut self, xs: [f64; L]) -> [A::T; L] {
-        xs.map(|x| self.inner.num(x))
-    }
-
-    fn splat(&mut self, v: A::T) -> [A::T; L] {
-        [v; L]
-    }
-
-    fn lane_to_f64(&self, v: &[A::T; L], lane: usize) -> f64 {
-        self.inner.to_f64(v[lane])
-    }
-
-    fn lane_lt(&mut self, a: &[A::T; L], b: &[A::T; L]) -> [bool; L] {
-        std::array::from_fn(|i| self.inner.lt(a[i], b[i]))
-    }
-}
-
-impl<const COUNTED: bool, const L: usize> LaneSpec<L> for GenericF64Arith<COUNTED> {
-    type Lanes = LaneArith<Self, L>;
-}
-
-impl<const COUNTED: bool, const L: usize> LaneSpec<L> for GenericF32Arith<COUNTED> {
-    type Lanes = LaneArith<Self, L>;
-}
-
-impl<const L: usize> LaneSpec<L> for SoftArith {
-    type Lanes = LaneArith<Self, L>;
-}
-
-impl<const FRAC: u32, const L: usize> LaneSpec<L> for QArith<FRAC> {
-    type Lanes = LaneArith<Self, L>;
 }
 
 /// Three-state small-angle misalignment Kalman filter over an

@@ -141,7 +141,7 @@ impl KalmanUpdate {
 /// ```
 #[derive(Clone, Debug)]
 pub struct GenericBoresightFilter<A: Arith> {
-    kernel: IekfKernel<LaneArith<A, 1>, 1>,
+    kernel: IekfKernel<A, 1>,
 }
 
 /// The native-`f64` filter — the reference instantiation every

@@ -37,7 +37,7 @@
 use super::ingress::IngressQueue;
 use super::policy::{EvictReason, EvictionPolicy};
 use super::{FleetConfig, VehicleId};
-use crate::arith::{Arith, LaneOps, LaneSpec};
+use crate::arith::Arith;
 use crate::estimator::{ImuPrep, MisalignmentEstimate};
 use crate::lanes::LaneIekf;
 use crate::monitor::ResidualMonitor;
@@ -107,7 +107,7 @@ pub(crate) struct EvictionRecord {
 }
 
 /// One shard of the fleet arena.
-pub(crate) struct Shard<A: LaneSpec<L>, const L: usize> {
+pub(crate) struct Shard<A: Arith, const L: usize> {
     lane_config: crate::filter::FilterConfig,
     tick_dt: f64,
     policy: EvictionPolicy,
@@ -135,7 +135,7 @@ pub(crate) struct Shard<A: LaneSpec<L>, const L: usize> {
     records: Vec<EvictionRecord>,
 }
 
-impl<A: LaneSpec<L> + Clone + Default, const L: usize> Shard<A, L> {
+impl<A: Arith + Clone + Default, const L: usize> Shard<A, L> {
     pub(crate) fn new(config: &FleetConfig) -> Self {
         Self {
             lane_config: config.filter,
@@ -324,7 +324,7 @@ impl<A: LaneSpec<L> + Clone + Default, const L: usize> Shard<A, L> {
         let mut zs = [Vec2::zeros(); L];
         let mut times = [0.0_f64; L];
         let mut dts = [0.0_f64; L];
-        let mut fbs = [group.arith_mut().splat(zero); 3];
+        let mut fbs = [[zero; L]; 3];
         let mut any = false;
         for (lane, cell) in staged[base..top].iter_mut().enumerate() {
             if let Some(staged_meas) = cell.take() {
@@ -538,7 +538,7 @@ fn exceed_rate(stats: &VehicleStats) -> f64 {
 /// lane group and its staging cell. Excludes the boxed per-vehicle
 /// source front end (scenario-dependent) and the shard-shared ingress
 /// queue.
-pub(crate) fn arena_bytes_per_vehicle<A: LaneSpec<L>, const L: usize>() -> usize {
+pub(crate) fn arena_bytes_per_vehicle<A: Arith, const L: usize>() -> usize {
     std::mem::size_of::<SlotState<A>>()
         + std::mem::size_of::<LaneIekf<A, L>>() / L
         + std::mem::size_of::<Option<StagedMeas<A>>>()

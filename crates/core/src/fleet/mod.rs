@@ -69,7 +69,7 @@ pub use policy::{AdmitError, EvictReason, EvictionPolicy};
 pub use profile::{EpochProfile, EpochProfiler, EpochSample, PhaseStats, DEFAULT_PROFILE_WINDOW};
 
 use crate::adaptive::{AdaptiveBackend, ReconfigLedger, ReconfigPolicy, SubstrateId};
-use crate::arith::LaneSpec;
+use crate::arith::Arith;
 use crate::estimator::MisalignmentEstimate;
 use crate::exec::{self, SyncCell};
 use crate::filter::FilterConfig;
@@ -182,7 +182,7 @@ struct AdaptiveVehicle {
 /// lines so neighbouring shards' claim CAS traffic and hot slot
 /// counters never false-share.
 #[repr(align(128))]
-struct ShardCell<A: LaneSpec<L>, const L: usize> {
+struct ShardCell<A: Arith, const L: usize> {
     /// Epoch stamp of the shard's last claimed task. A worker owns the
     /// shard for the epoch stamped `e` iff its compare-exchange takes
     /// this from `< e` to `e` — monotonic stamps mean no reset pass
@@ -192,7 +192,7 @@ struct ShardCell<A: LaneSpec<L>, const L: usize> {
     shard: SyncCell<Shard<A, L>>,
 }
 
-impl<A: LaneSpec<L>, const L: usize> ShardCell<A, L> {
+impl<A: Arith, const L: usize> ShardCell<A, L> {
     /// Claims this shard for the epoch stamped `stamp`; `true` means
     /// the caller owns the shard exclusively until the epoch barrier.
     fn try_claim(&self, stamp: u64) -> bool {
@@ -236,7 +236,7 @@ fn us_between(start: Instant, end: Instant) -> f64 {
 /// buffer. The per-shard sequence is exactly the serial order — the
 /// pipeline overlap comes from *other* shards computing while this one
 /// ingests ahead.
-fn run_shard_epoch<A: LaneSpec<L> + Clone + Default, const L: usize>(
+fn run_shard_epoch<A: Arith + Clone + Default, const L: usize>(
     shard: &mut Shard<A, L>,
     ingest_next: bool,
     lap: &mut WorkerLap,
@@ -269,7 +269,7 @@ fn run_shard_epoch<A: LaneSpec<L> + Clone + Default, const L: usize>(
 
 /// The fleet session server: vehicle directory, shard set and epoch
 /// scheduler. See the [module docs](self) for the architecture.
-pub struct Fleet<A: LaneSpec<L> + Clone + Default, const L: usize = 8> {
+pub struct Fleet<A: Arith + Clone + Default, const L: usize = 8> {
     config: FleetConfig,
     shards: Vec<ShardCell<A, L>>,
     /// vehicle id → (shard, slot); slots move on compaction, the
@@ -298,7 +298,7 @@ pub struct Fleet<A: LaneSpec<L> + Clone + Default, const L: usize = 8> {
 /// The native-`f64` fleet with the default lane width.
 pub type F64Fleet = Fleet<crate::arith::F64Arith, 8>;
 
-impl<A: LaneSpec<L> + Clone + Default, const L: usize> Fleet<A, L> {
+impl<A: Arith + Clone + Default, const L: usize> Fleet<A, L> {
     /// Creates an empty fleet.
     pub fn new(config: FleetConfig) -> Self {
         let shard_count = config.shards.max(1);
@@ -673,11 +673,6 @@ impl<A: LaneSpec<L> + Clone + Default, const L: usize> Fleet<A, L> {
         self.directory.is_empty() && self.adaptive.is_empty()
     }
 
-    /// Sideband vehicles currently resident.
-    pub fn adaptive_len(&self) -> usize {
-        self.adaptive.len()
-    }
-
     fn adaptive_vehicle(&self, id: VehicleId) -> Option<&AdaptiveVehicle> {
         // SAFETY: `&self` accessors are serialized against
         // `run_epochs*` (which take `&mut self`); no worker holds the
@@ -693,15 +688,6 @@ impl<A: LaneSpec<L> + Clone + Default, const L: usize> Fleet<A, L> {
             v.session
                 .backend_as::<AdaptiveBackend>()
                 .map(|b| b.ledger())
-        })
-    }
-
-    /// A resident sideband vehicle's currently active substrate.
-    pub fn adaptive_substrate(&self, id: VehicleId) -> Option<SubstrateId> {
-        self.adaptive_vehicle(id).and_then(|v| {
-            v.session
-                .backend_as::<AdaptiveBackend>()
-                .map(|b| b.active_substrate())
         })
     }
 

@@ -6,14 +6,11 @@
 //! throughput from *replicated datapaths*, not faster sequencers. This
 //! module is the software mirror of that: the kernel keeps `L` filters'
 //! states in structure-of-arrays form and runs every arithmetic
-//! operation once per instruction across all lanes through a lane
-//! context ([`LaneOps`]). [`LaneIekf`] runs it over the scalar
-//! substrate's [`LaneSpec`] lane form — the per-lane loop
-//! [`crate::arith::LaneArith`] for every counted/emulated/fixed-point
-//! substrate (on native `f64` the loops autovectorize, on emulated
-//! substrates the per-op dispatch overhead is amortized over `L`
-//! results), or the explicit-vector [`crate::simd::SimdArith`] when
-//! the filter is keyed on [`crate::simd::SimdF64`]. The scalar
+//! operation once per instruction across all lanes through the lane
+//! context [`LaneArith`]. [`LaneIekf`] runs it over `L` lanes of any
+//! scalar substrate (on native `f64` the per-lane loops autovectorize,
+//! on emulated substrates the per-op dispatch overhead is amortized
+//! over `L` results). The scalar
 //! [`crate::filter::GenericBoresightFilter`] is the same kernel at one
 //! lane over `LaneArith<A, 1>`.
 //!
@@ -40,7 +37,7 @@
 // writes of a SIMD datapath (and the matrix equations behind them).
 #![allow(clippy::needless_range_loop)]
 
-use crate::arith::{Arith, LaneOps, LaneSpec, OpCounts, PhaseLedger};
+use crate::arith::{Arith, LaneArith, OpCounts, PhaseLedger};
 use crate::estimator::{EstimatorConfig, ImuPrep, MisalignmentEstimate};
 use crate::filter::{FilterConfig, KalmanUpdate};
 use crate::model::{self, MEAS_DIM, STATE_DIM};
@@ -50,16 +47,9 @@ use crate::smallmat;
 use mathx::{EulerAngles, Vec2, Vec3};
 use sensors::DmuSample;
 use std::any::Any;
-use std::ops::IndexMut;
-
-/// The lane value stepping `L` scalars of substrate `A` at once —
-/// `[A::T; L]` for [`crate::arith::LaneArith`] lanes,
-/// [`crate::simd::F64Lanes`] for explicit-vector lanes. Either way it
-/// indexes as `value[lane] -> A::T`.
-type LaneT<A, const L: usize> = <<A as LaneSpec<L>>::Lanes as Arith>::T;
 
 /// `L` independent 5-state iterated EKFs in lockstep over the inner
-/// substrate `A`: the IEKF kernel over `A`'s [`LaneSpec`] lane form.
+/// substrate `A`: the IEKF kernel over [`LaneArith<A, L>`].
 ///
 /// Lanes that diverge in control flow (gate rejection, convergence,
 /// singular innovation, trust-region clamps) have their state writes
@@ -70,9 +60,9 @@ type LaneT<A, const L: usize> = <<A as LaneSpec<L>>::Lanes as Arith>::T;
 /// All lanes share one [`FilterConfig`]; the measurement sigma is
 /// per-lane (adaptive retunes fire independently).
 #[derive(Clone, Debug)]
-pub struct LaneIekf<A: LaneSpec<L>, const L: usize>(IekfKernel<A::Lanes, L>);
+pub struct LaneIekf<A: Arith, const L: usize>(IekfKernel<A, L>);
 
-impl<A: LaneSpec<L>, const L: usize> LaneIekf<A, L> {
+impl<A: Arith, const L: usize> LaneIekf<A, L> {
     /// Creates the lane filter over the substrate's default context.
     pub fn new(config: FilterConfig) -> Self
     where
@@ -83,10 +73,7 @@ impl<A: LaneSpec<L>, const L: usize> LaneIekf<A, L> {
 
     /// Creates the lane filter over an explicit inner context.
     pub fn with_arith(inner: A, config: FilterConfig) -> Self {
-        Self(IekfKernel::new(
-            <A::Lanes as LaneOps<L>>::with_inner(inner),
-            config,
-        ))
+        Self(IekfKernel::new(LaneArith::new(inner), config))
     }
 
     /// Number of lanes.
@@ -95,13 +82,13 @@ impl<A: LaneSpec<L>, const L: usize> LaneIekf<A, L> {
     }
 
     /// The lane arithmetic context (one shared ledger for all lanes).
-    pub fn arith(&self) -> &A::Lanes {
+    pub fn arith(&self) -> &LaneArith<A, L> {
         &self.0.arith
     }
 
     /// The lane arithmetic context, mutably (substrate `num`
     /// conversions mutate the instrumentation ledger).
-    pub fn arith_mut(&mut self) -> &mut A::Lanes {
+    pub fn arith_mut(&mut self) -> &mut LaneArith<A, L> {
         &mut self.0.arith
     }
 
@@ -205,8 +192,7 @@ impl<A: LaneSpec<L>, const L: usize> LaneIekf<A, L> {
         f_b: [A::T; 3],
         time_s: f64,
     ) -> [KalmanUpdate; L] {
-        let a = &mut self.0.arith;
-        let fb = f_b.map(|v| a.splat(v));
+        let fb = f_b.map(|v| [v; L]);
         self.0.update(z, fb, &[time_s; L], &[false; L])
     }
 
@@ -218,12 +204,12 @@ impl<A: LaneSpec<L>, const L: usize> LaneIekf<A, L> {
         f_b: &[Vec3; L],
         time_s: f64,
     ) -> [KalmanUpdate; L] {
-        let a = &mut self.0.arith;
-        let zero = a.inner_mut().num(0.0);
-        let mut fb = [a.splat(zero); 3];
+        let a = self.0.arith.inner_mut();
+        let zero = a.num(0.0);
+        let mut fb = [[zero; L]; 3];
         for axis in 0..3 {
             for lane in 0..L {
-                fb[axis][lane] = a.inner_mut().num(f_b[lane][axis]);
+                fb[axis][lane] = a.num(f_b[lane][axis]);
             }
         }
         self.0.update(z, fb, &[time_s; L], &[false; L])
@@ -243,7 +229,7 @@ impl<A: LaneSpec<L>, const L: usize> LaneIekf<A, L> {
     pub fn update_lanes_masked(
         &mut self,
         z: &[Vec2; L],
-        f_b: [LaneT<A, L>; 3],
+        f_b: [[A::T; L]; 3],
         times: &[f64; L],
         active: &[bool; L],
     ) -> [Option<KalmanUpdate>; L] {
@@ -275,12 +261,11 @@ fn ledger_snapshot<A: Arith>(a: &A) -> (OpCounts, u64) {
 
 /// The IEKF: `L` independent 5-state iterated EKFs over the
 /// `[phi, theta, psi, bx, by]` state, stepped through one instruction
-/// stream on the lane context `LA`.
+/// stream on the lane context [`LaneArith<A, L>`].
 ///
-/// [`LaneIekf`] is this kernel over a substrate's [`LaneSpec`] lane
-/// form; [`crate::filter::GenericBoresightFilter`] is its one-lane case
-/// over [`LaneArith<A, 1>`](crate::arith::LaneArith), which serves
-/// every [`Arith`].
+/// [`LaneIekf`] is this kernel at `L` lanes;
+/// [`crate::filter::GenericBoresightFilter`] is its one-lane case,
+/// which serves every [`Arith`].
 ///
 /// The update is structure-exploiting: one fused trig/Jacobian
 /// evaluation per linearization point, the gate pass reused as IEKF
@@ -302,30 +287,24 @@ fn ledger_snapshot<A: Arith>(a: &A) -> (OpCounts, u64) {
 /// op. The [`PhaseLedger`] attributes those ops to predict, gate and
 /// update.
 #[derive(Clone, Debug)]
-pub(crate) struct IekfKernel<LA: LaneOps<L>, const L: usize>
-where
-    LA::T: IndexMut<usize, Output = <LA::Inner as Arith>::T>,
-{
+pub(crate) struct IekfKernel<A: Arith, const L: usize> {
     pub(crate) config: FilterConfig,
-    pub(crate) arith: LA,
+    pub(crate) arith: LaneArith<A, L>,
     pub(crate) sigmas: [f64; L],
-    x: [LA::T; STATE_DIM],
+    x: [[A::T; L]; STATE_DIM],
     /// Kept **exactly symmetric** (bitwise) per lane: the update writes
     /// only unique entries and mirrors them, prediction and the trust
     /// region touch the diagonal only — the transposition shortcut for
     /// `P J^T` relies on it.
-    p: [[LA::T; STATE_DIM]; STATE_DIM],
+    p: [[[A::T; L]; STATE_DIM]; STATE_DIM],
     pub(crate) updates: [u64; L],
     pub(crate) rejected: [u64; L],
     pub(crate) phases: PhaseLedger,
 }
 
-impl<LA: LaneOps<L>, const L: usize> IekfKernel<LA, L>
-where
-    LA::T: IndexMut<usize, Output = <LA::Inner as Arith>::T>,
-{
+impl<A: Arith, const L: usize> IekfKernel<A, L> {
     /// A kernel with every lane at the fresh-filter state.
-    pub(crate) fn new(mut arith: LA, config: FilterConfig) -> Self {
+    pub(crate) fn new(mut arith: LaneArith<A, L>, config: FilterConfig) -> Self {
         let zero = arith.num(0.0);
         let mut kernel = Self {
             config,
@@ -368,7 +347,7 @@ where
     /// One lane's per-angle 1-sigma, rad, over a cloned inner context.
     pub(crate) fn angle_sigma(&self, lane: usize) -> Vec3
     where
-        LA::Inner: Clone,
+        A: Clone,
     {
         let mut a = self.arith.inner().clone();
         let zero = a.num(0.0);
@@ -382,7 +361,7 @@ where
     }
 
     /// One lane's complete state.
-    pub(crate) fn export_lane(&self, lane: usize) -> LaneState<LA::Inner> {
+    pub(crate) fn export_lane(&self, lane: usize) -> LaneState<A> {
         LaneState {
             x: std::array::from_fn(|i| self.x[i][lane]),
             p: std::array::from_fn(|r| std::array::from_fn(|c| self.p[r][c][lane])),
@@ -393,7 +372,7 @@ where
     }
 
     /// Overwrites one lane's state bit-for-bit.
-    pub(crate) fn import_lane(&mut self, lane: usize, state: &LaneState<LA::Inner>) {
+    pub(crate) fn import_lane(&mut self, lane: usize, state: &LaneState<A>) {
         for i in 0..STATE_DIM {
             self.x[i][lane] = state.x[i];
             for j in 0..STATE_DIM {
@@ -487,7 +466,7 @@ where
     pub(crate) fn update(
         &mut self,
         z: &[Vec2; L],
-        f_b: [LA::T; 3],
+        f_b: [[A::T; L]; 3],
         times: &[f64; L],
         inactive: &[bool; L],
     ) -> [KalmanUpdate; L] {
@@ -557,7 +536,7 @@ where
         let (mut x_i, mut h_i, mut jac, mut jp, mut s) = (x_pred, h0, jac0, jp0, s0);
         // Each lane's final linearization and gain, for the Joseph update.
         let mut jac_fin = jac0;
-        let mut k_fin: [[LA::T; MEAS_DIM]; STATE_DIM] = [[zero; MEAS_DIM]; STATE_DIM];
+        let mut k_fin: [[[A::T; L]; MEAS_DIM]; STATE_DIM] = [[zero; MEAS_DIM]; STATE_DIM];
         for iter in 0..iterations {
             if frozen.iter().all(|f| *f) {
                 break;
@@ -653,9 +632,9 @@ where
     /// Counts each active lane's outcome and builds its update record.
     fn finish(
         &mut self,
-        innov: &[LA::T; MEAS_DIM],
-        sig0: &LA::T,
-        sig1: &LA::T,
+        innov: &[[A::T; L]; MEAS_DIM],
+        sig0: &[A::T; L],
+        sig1: &[A::T; L],
         times: &[f64; L],
         inactive: &[bool; L],
         rejected: &[bool; L],
@@ -768,19 +747,16 @@ fn model_at<A: Arith>(
 /// rejected and frozen, and its — possibly non-finite — inverse is
 /// masked out by the caller. Once every lane is frozen the rest of the
 /// solve is skipped and the result is `None`.
-fn inverse2_sym_lanes<LA: LaneOps<L>, const L: usize>(
-    a: &mut LA,
-    s: &[[LA::T; 2]; 2],
+fn inverse2_sym_lanes<A: Arith, const L: usize>(
+    a: &mut LaneArith<A, L>,
+    s: &[[[A::T; L]; 2]; 2],
     rejected: &mut [bool; L],
     frozen: &mut [bool; L],
-) -> Option<[[LA::T; 2]; 2]>
-where
-    LA::T: IndexMut<usize, Output = <LA::Inner as Arith>::T>,
-{
+) -> Option<[[[A::T; L]; 2]; 2]> {
     let zero = a.num(0.0);
     let tiny = a.num(1e-300);
     let one = a.num(1.0);
-    let mut pivots_ok = |a: &mut LA, d: &LA::T| {
+    let mut pivots_ok = |a: &mut LaneArith<A, L>, d: &[A::T; L]| {
         for lane in 0..L {
             if frozen[lane] {
                 continue;
@@ -823,7 +799,7 @@ where
 /// this). The batched update runs when the last channel of a time
 /// step arrives; that call returns its lane's update record, and
 /// [`LaneBank::last_updates`] exposes the whole batch.
-pub struct LaneBank<A: LaneSpec<L>, const L: usize> {
+pub struct LaneBank<A: Arith, const L: usize> {
     config: EstimatorConfig,
     filter: LaneIekf<A, L>,
     monitors: Option<Vec<ResidualMonitor>>,
@@ -837,7 +813,7 @@ pub struct LaneBank<A: LaneSpec<L>, const L: usize> {
     retune_log: Vec<Retune>,
 }
 
-impl<A: LaneSpec<L> + Default, const L: usize> LaneBank<A, L> {
+impl<A: Arith + Default, const L: usize> LaneBank<A, L> {
     /// Creates the bank over the substrate's default context; every
     /// lane shares the estimator configuration.
     pub fn new(config: EstimatorConfig) -> Self {
@@ -873,7 +849,7 @@ impl<A: LaneSpec<L> + Default, const L: usize> LaneBank<A, L> {
     }
 }
 
-impl<A: LaneSpec<L> + Clone + 'static, const L: usize> FusionBackend for LaneBank<A, L> {
+impl<A: Arith + Clone + 'static, const L: usize> FusionBackend for LaneBank<A, L> {
     fn ingest_dmu(&mut self, sample: &DmuSample) {
         self.prep.on_dmu(&mut self.front, sample);
     }
@@ -953,8 +929,6 @@ impl<A: LaneSpec<L> + Clone + 'static, const L: usize> FusionBackend for LaneBan
     }
 
     fn label(&self) -> &'static str {
-        // "iekf5/lanes" for per-lane-loop substrates, "iekf5/simd" for
-        // explicit-vector lanes.
         self.filter.arith().iekf_label()
     }
 

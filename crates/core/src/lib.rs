@@ -66,10 +66,6 @@
 //!   ablation filter; the *full* 5-state IEKF runs over any of them
 //!   through [`SessionBuilder::iekf`] or
 //!   [`SessionGroup::full_iekf_sweep`];
-//! * [`simd`] — the explicit-vector `f64` lane substrate
-//!   ([`SimdArith`]) behind the same [`arith::Arith`] trait: SSE2
-//!   packed doubles on x86_64 under the `simd` cargo feature, with a
-//!   bit-identical portable fallback;
 //! * [`fleet`] — the fleet-scale session server: thousands of
 //!   concurrent vehicles packed into struct-of-arrays
 //!   [`lanes::LaneIekf`] shard arenas behind bounded ingress queues,
@@ -162,7 +158,6 @@ pub mod replay;
 pub mod report;
 pub mod scenario;
 pub mod session;
-pub mod simd;
 pub mod smallmat;
 pub mod spec;
 pub mod system;
@@ -172,8 +167,8 @@ pub use adaptive::{
     PinnedPolicy, ReconfigEvent, ReconfigLedger, ReconfigPolicy, SubstrateId,
 };
 pub use arith::{
-    Arith, F32Arith, F32ArithFast, F64Arith, F64ArithFast, LaneArith, LaneOps, LaneSpec, OpCounts,
-    PhaseCost, PhaseLedger, QArith, SoftArith,
+    Arith, F32Arith, F32ArithFast, F64Arith, F64ArithFast, LaneArith, OpCounts, PhaseCost,
+    PhaseLedger, QArith, SoftArith,
 };
 pub use estimator::{
     BoresightEstimator, EstimatorConfig, GenericBoresightEstimator, ImuPrep, MisalignmentEstimate,
@@ -199,7 +194,6 @@ pub use session::{
     FusionSession, IntoSharedTrajectory, LinkFaultConfig, SensorEvent, SensorSource,
     SessionBuilder, SessionGroup, SessionStats, SyntheticSource, UartReplaySource,
 };
-pub use simd::{F64Lanes, SimdArith, SimdF64};
 pub use spec::{
     ChannelSpec, EnvironmentSpec, ScenarioSpec, ScenarioSuite, ScenarioTrajectory, Substrate,
     SuiteCell, SuiteReport, TrajectorySpec, TuningSpec, VibrationClass,

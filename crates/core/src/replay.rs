@@ -417,11 +417,6 @@ impl RecordingSink {
     pub fn recording(&self) -> &Recording {
         &self.recording
     }
-
-    /// Consumes the sink, yielding the capture.
-    pub fn into_recording(self) -> Recording {
-        self.recording
-    }
 }
 
 impl EventSink for RecordingSink {

@@ -1289,11 +1289,6 @@ impl FusionSession {
         self.time_s
     }
 
-    /// The source's natural step, seconds.
-    pub fn source_dt(&self) -> f64 {
-        self.source.dt()
-    }
-
     /// `true` once every event has been produced and dispatched.
     pub fn is_finished(&self) -> bool {
         self.finished
@@ -1592,11 +1587,6 @@ impl SessionGroup {
         &self.sessions
     }
 
-    /// One session, mutably.
-    pub fn session_mut(&mut self, index: usize) -> &mut FusionSession {
-        &mut self.sessions[index]
-    }
-
     /// Steps every unfinished session by `dt` seconds.
     pub fn step_all(&mut self, dt: f64) {
         for s in &mut self.sessions {
@@ -1874,23 +1864,35 @@ mod tests {
     #[test]
     fn uart_replay_reconstructs_recorded_streams() {
         // Record a short comms-chain run, then replay the captured
-        // bytes: the replayed session must converge like the live one.
+        // bytes: the replayed session must reconstruct and fuse both
+        // streams like the live one.
         let cfg = short_config(9);
         let mut replay = UartReplaySource::new(1.0 / Dmu::new(cfg.dmu).dt(), cfg.acc_rate_hz);
-        // "Capture": encode DMU samples onto the bridge byte stream the
-        // way the live chain does.
+        // "Capture": encode DMU samples onto the bridge byte stream and
+        // ACC samples into eval-board packets, the way the live chain
+        // does, in delivery-time order.
         let mut rng = mathx::rng::seeded_rng(1);
         let mut dmu = Dmu::new(cfg.dmu);
+        let mut acc_cfg = Adxl202Config::ideal();
+        acc_cfg.sample_rate_hz = cfg.acc_rate_hz;
+        let mut acc = Adxl202::new(acc_cfg);
         let mut enc = BridgeEncoder::new();
         let g = mathx::STANDARD_GRAVITY;
-        for i in 0..50 {
-            let t = i as f64 * dmu.dt();
-            let s = dmu.sample(Vec3::new([0.0, 0.0, g]), Vec3::zeros(), &mut rng);
-            let mut bytes = Vec::new();
-            for frame in DmuCanCodec::encode(&s) {
-                bytes.extend_from_slice(&enc.encode(&frame));
+        let acc_dt = 1.0 / cfg.acc_rate_hz;
+        let mut next_dmu_t = 0.0;
+        for i in 0..(1.0 / acc_dt).round() as usize {
+            let t = i as f64 * acc_dt;
+            while next_dmu_t <= t {
+                let s = dmu.sample(Vec3::new([0.0, 0.0, g]), Vec3::zeros(), &mut rng);
+                let mut bytes = Vec::new();
+                for frame in DmuCanCodec::encode(&s) {
+                    bytes.extend_from_slice(&enc.encode(&frame));
+                }
+                replay.push_dmu_chunk(next_dmu_t, bytes);
+                next_dmu_t += dmu.dt();
             }
-            replay.push_dmu_chunk(t, bytes);
+            let duty = acc.sample(Vec2::zeros(), &mut rng);
+            replay.push_acc_chunk(t, AdxlPacket::from_sample(&duty).to_bytes().to_vec());
         }
         let mut session = FusionSession::builder()
             .source(replay)
@@ -1900,6 +1902,12 @@ mod tests {
         let stats = session.stream_stats().expect("replay has stream stats");
         assert!(stats.dmu_samples > 40, "dmu {}", stats.dmu_samples);
         assert_eq!(stats.dmu_errors, 0);
+        assert!(stats.acc_samples > 40, "acc {}", stats.acc_samples);
+        assert_eq!(stats.acc_errors, 0);
+        assert!(
+            session.stats().updates > 40,
+            "the replayed ACC stream was fused"
+        );
     }
 
     #[test]

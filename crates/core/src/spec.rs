@@ -706,6 +706,10 @@ impl SuiteReport {
     }
 }
 
+/// The interleave slice [`ScenarioSuite::run`] hands each session in
+/// turn, seconds.
+const SUITE_CHUNK_S: f64 = 1.0;
+
 /// Executes a scenario × substrate matrix over a [`SessionGroup`]:
 /// each scenario's substrate sessions share one lowered trajectory and
 /// interleave on one thread, exactly like the production
@@ -715,7 +719,6 @@ pub struct ScenarioSuite {
     scenarios: Vec<ScenarioSpec>,
     substrates: Vec<Substrate>,
     duration_override_s: Option<f64>,
-    chunk_s: f64,
 }
 
 impl ScenarioSuite {
@@ -725,7 +728,6 @@ impl ScenarioSuite {
             scenarios,
             substrates: Substrate::all().to_vec(),
             duration_override_s: None,
-            chunk_s: 1.0,
         }
     }
 
@@ -744,12 +746,6 @@ impl ScenarioSuite {
     /// runs; the catalog's long-haul entry is 3600 s at full length).
     pub fn with_duration(mut self, duration_s: f64) -> Self {
         self.duration_override_s = Some(duration_s);
-        self
-    }
-
-    /// Sets the interleave slice handed to each session in turn.
-    pub fn with_chunk(mut self, chunk_s: f64) -> Self {
-        self.chunk_s = chunk_s;
         self
     }
 
@@ -789,7 +785,7 @@ impl ScenarioSuite {
             for cell_spec in scenario_cells {
                 group.push(cell_spec.into_session(Arc::clone(&trajectory)));
             }
-            group.run_interleaved(self.chunk_s);
+            group.run_interleaved(SUITE_CHUNK_S);
             for (cell_spec, session) in scenario_cells.iter().zip(group.into_sessions()) {
                 cells.push(SuiteCell::collect(cell_spec, session));
             }

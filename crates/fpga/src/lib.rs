@@ -4,7 +4,7 @@
 //! * [`sabre`] — the Sabre 32-bit soft-core: ISA, assembler,
 //!   instruction-set simulator, memory-mapped peripheral bus with the
 //!   Figure-6 device set, BlockRAM/ZBT memory models.
-//! * [`softfloat`] — from-scratch IEEE-754 binary32/binary64 arithmetic
+//! * [`softfloat`] — from-scratch IEEE-754 binary64 arithmetic
 //!   on integer ops (the paper's Softfloat layer), bit-exact against
 //!   the host FPU, with per-op Sabre cycle accounting.
 //! * [`fixed`] — Q-format fixed point and the 1024-entry sine/cosine

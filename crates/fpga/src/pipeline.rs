@@ -95,11 +95,6 @@ impl AffinePipeline {
         self.cos = c;
     }
 
-    /// Updates the output translation.
-    pub fn set_translation(&mut self, translation: Coord) {
-        self.translation = translation;
-    }
-
     /// The LUT index in use.
     pub fn theta_index(&self) -> u32 {
         self.theta_index

@@ -364,11 +364,6 @@ impl UartPort {
     pub fn take_tx(&mut self) -> Vec<u8> {
         self.tx.drain(..).collect()
     }
-
-    /// Bytes waiting for the core to read.
-    pub fn rx_pending(&self) -> usize {
-        self.rx.len()
-    }
 }
 
 impl Peripheral for UartPort {

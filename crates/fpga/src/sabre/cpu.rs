@@ -135,11 +135,6 @@ impl Sabre {
         self.instructions
     }
 
-    /// `true` once a `halt` has executed.
-    pub fn is_halted(&self) -> bool {
-        self.halted
-    }
-
     /// Reads data memory directly (test harnesses).
     pub fn data_word(&self, addr: u32) -> Option<u32> {
         self.data.read32(addr)

@@ -22,23 +22,11 @@
 //! 32-bit instructions and the 64x64 multiply is decomposed into four
 //! 32x32 MULs. They are configurable for sensitivity studies.
 
-use super::convert;
-use super::f32impl::{self, Sf32};
 use super::f64impl::{self, Sf64};
 
 /// Kinds of floating-point operations the ledger tracks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FpOp {
-    /// f32 add or subtract.
-    AddF32,
-    /// f32 multiply.
-    MulF32,
-    /// f32 divide.
-    DivF32,
-    /// f32 square root.
-    SqrtF32,
-    /// f32 compare.
-    CmpF32,
     /// f64 add or subtract.
     AddF64,
     /// f64 multiply.
@@ -53,23 +41,13 @@ pub enum FpOp {
     SignF64,
     /// f64 sine+cosine pair.
     SinCosF64,
-    /// int <-> float conversion (either width).
+    /// int <-> f64 conversion.
     Convert,
 }
 
 /// Per-operation cycle costs on the soft core.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CycleCosts {
-    /// f32 add/sub cycles.
-    pub add_f32: u64,
-    /// f32 multiply cycles.
-    pub mul_f32: u64,
-    /// f32 divide cycles.
-    pub div_f32: u64,
-    /// f32 square-root cycles.
-    pub sqrt_f32: u64,
-    /// f32 compare cycles.
-    pub cmp_f32: u64,
     /// f64 add/sub cycles.
     pub add_f64: u64,
     /// f64 multiply cycles.
@@ -95,11 +73,6 @@ impl CycleCosts {
     /// routines (see module docs for the derivation).
     pub fn sabre_default() -> Self {
         Self {
-            add_f32: 48,
-            mul_f32: 60,
-            div_f32: 180,
-            sqrt_f32: 260,
-            cmp_f32: 14,
             add_f64: 75,
             mul_f64: 135,
             div_f64: 420,
@@ -114,11 +87,6 @@ impl CycleCosts {
     /// Cycles for one op kind.
     pub fn of(&self, op: FpOp) -> u64 {
         match op {
-            FpOp::AddF32 => self.add_f32,
-            FpOp::MulF32 => self.mul_f32,
-            FpOp::DivF32 => self.div_f32,
-            FpOp::SqrtF32 => self.sqrt_f32,
-            FpOp::CmpF32 => self.cmp_f32,
             FpOp::AddF64 => self.add_f64,
             FpOp::MulF64 => self.mul_f64,
             FpOp::DivF64 => self.div_f64,
@@ -140,16 +108,6 @@ impl Default for CycleCosts {
 /// Operation counters and the cycle ledger.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FpuStats {
-    /// f32 adds/subs performed.
-    pub add_f32: u64,
-    /// f32 multiplies performed.
-    pub mul_f32: u64,
-    /// f32 divides performed.
-    pub div_f32: u64,
-    /// f32 square roots performed.
-    pub sqrt_f32: u64,
-    /// f32 compares performed.
-    pub cmp_f32: u64,
     /// f64 adds/subs performed.
     pub add_f64: u64,
     /// f64 multiplies performed.
@@ -173,12 +131,7 @@ pub struct FpuStats {
 impl FpuStats {
     /// Total operation count.
     pub fn total_ops(&self) -> u64 {
-        self.add_f32
-            + self.mul_f32
-            + self.div_f32
-            + self.sqrt_f32
-            + self.cmp_f32
-            + self.add_f64
+        self.add_f64
             + self.mul_f64
             + self.div_f64
             + self.sqrt_f64
@@ -237,11 +190,6 @@ impl SoftFpu {
     pub fn stats(&self) -> FpuStats {
         let n = |op: FpOp| self.counts[op as usize];
         let mut s = FpuStats {
-            add_f32: n(FpOp::AddF32),
-            mul_f32: n(FpOp::MulF32),
-            div_f32: n(FpOp::DivF32),
-            sqrt_f32: n(FpOp::SqrtF32),
-            cmp_f32: n(FpOp::CmpF32),
             add_f64: n(FpOp::AddF64),
             mul_f64: n(FpOp::MulF64),
             div_f64: n(FpOp::DivF64),
@@ -253,12 +201,7 @@ impl SoftFpu {
             cycles: 0,
         };
         let c = &self.costs;
-        s.cycles = s.add_f32 * c.add_f32
-            + s.mul_f32 * c.mul_f32
-            + s.div_f32 * c.div_f32
-            + s.sqrt_f32 * c.sqrt_f32
-            + s.cmp_f32 * c.cmp_f32
-            + s.add_f64 * c.add_f64
+        s.cycles = s.add_f64 * c.add_f64
             + s.mul_f64 * c.mul_f64
             + s.div_f64 * c.div_f64
             + s.sqrt_f64 * c.sqrt_f64
@@ -360,48 +303,6 @@ impl SoftFpu {
         (Sf64::from_f64(s), Sf64::from_f64(c))
     }
 
-    /// f32 addition.
-    #[inline]
-    pub fn add_f32(&mut self, a: Sf32, b: Sf32) -> Sf32 {
-        self.charge(FpOp::AddF32);
-        f32impl::add(a, b)
-    }
-
-    /// f32 subtraction.
-    #[inline]
-    pub fn sub_f32(&mut self, a: Sf32, b: Sf32) -> Sf32 {
-        self.charge(FpOp::AddF32);
-        f32impl::sub(a, b)
-    }
-
-    /// f32 multiplication.
-    #[inline]
-    pub fn mul_f32(&mut self, a: Sf32, b: Sf32) -> Sf32 {
-        self.charge(FpOp::MulF32);
-        f32impl::mul(a, b)
-    }
-
-    /// f32 division.
-    #[inline]
-    pub fn div_f32(&mut self, a: Sf32, b: Sf32) -> Sf32 {
-        self.charge(FpOp::DivF32);
-        f32impl::div(a, b)
-    }
-
-    /// f32 square root.
-    #[inline]
-    pub fn sqrt_f32(&mut self, a: Sf32) -> Sf32 {
-        self.charge(FpOp::SqrtF32);
-        f32impl::sqrt(a)
-    }
-
-    /// f32 less-than.
-    #[inline]
-    pub fn lt_f32(&mut self, a: Sf32, b: Sf32) -> bool {
-        self.charge(FpOp::CmpF32);
-        f32impl::lt(a, b)
-    }
-
     /// i32 to f64.
     #[inline]
     pub fn i32_to_f64(&mut self, x: i32) -> Sf64 {
@@ -414,20 +315,6 @@ impl SoftFpu {
     pub fn f64_to_i32(&mut self, x: Sf64) -> i32 {
         self.charge(FpOp::Convert);
         f64impl::to_i32_trunc(x)
-    }
-
-    /// f32 to f64 (exact).
-    #[inline]
-    pub fn f32_to_f64(&mut self, x: Sf32) -> Sf64 {
-        self.charge(FpOp::Convert);
-        convert::f32_to_f64(x)
-    }
-
-    /// f64 to f32 (rounding).
-    #[inline]
-    pub fn f64_to_f32(&mut self, x: Sf64) -> Sf32 {
-        self.charge(FpOp::Convert);
-        convert::f64_to_f32(x)
     }
 }
 
@@ -471,23 +358,7 @@ mod tests {
     /// Runs one operation of kind `op` through the FPU's entry point.
     fn perform(fpu: &mut SoftFpu, op: FpOp) {
         let (x, y) = (Sf64::from_f64(1.5), Sf64::from_f64(-2.25));
-        let (p, q) = (Sf32::from_f32(1.5), Sf32::from_f32(-2.25));
         match op {
-            FpOp::AddF32 => {
-                fpu.add_f32(p, q);
-            }
-            FpOp::MulF32 => {
-                fpu.mul_f32(p, q);
-            }
-            FpOp::DivF32 => {
-                fpu.div_f32(p, q);
-            }
-            FpOp::SqrtF32 => {
-                fpu.sqrt_f32(p);
-            }
-            FpOp::CmpF32 => {
-                fpu.lt_f32(p, q);
-            }
             FpOp::AddF64 => {
                 fpu.sub_f64(x, y);
             }
@@ -521,11 +392,6 @@ mod tests {
     #[test]
     fn derived_cycles_are_count_times_cost_for_every_op() {
         let costs = CycleCosts {
-            add_f32: 2,
-            mul_f32: 3,
-            div_f32: 5,
-            sqrt_f32: 7,
-            cmp_f32: 11,
             add_f64: 13,
             mul_f64: 17,
             div_f64: 19,
@@ -536,11 +402,6 @@ mod tests {
             convert: 41,
         };
         let ops = [
-            FpOp::AddF32,
-            FpOp::MulF32,
-            FpOp::DivF32,
-            FpOp::SqrtF32,
-            FpOp::CmpF32,
             FpOp::AddF64,
             FpOp::MulF64,
             FpOp::DivF64,
@@ -559,19 +420,14 @@ mod tests {
             want += (i as u64 + 1) * costs.of(op);
         }
         let expected = FpuStats {
-            add_f32: 1,
-            mul_f32: 2,
-            div_f32: 3,
-            sqrt_f32: 4,
-            cmp_f32: 5,
-            add_f64: 6,
-            mul_f64: 7,
-            div_f64: 8,
-            sqrt_f64: 9,
-            cmp_f64: 10,
-            sign_f64: 11,
-            sincos_f64: 12,
-            convert: 13,
+            add_f64: 1,
+            mul_f64: 2,
+            div_f64: 3,
+            sqrt_f64: 4,
+            cmp_f64: 5,
+            sign_f64: 6,
+            sincos_f64: 7,
+            convert: 8,
             cycles: want,
         };
         assert_eq!(fpu.stats(), expected);
@@ -581,7 +437,7 @@ mod tests {
     #[test]
     fn reset_clears_ledger() {
         let mut fpu = SoftFpu::new();
-        let _ = fpu.sqrt_f32(Sf32::ONE);
+        let _ = fpu.sqrt_f64(Sf64::ONE);
         fpu.reset();
         assert_eq!(fpu.stats().cycles, 0);
         assert_eq!(fpu.stats().total_ops(), 0);
@@ -594,12 +450,7 @@ mod tests {
         let r = fpu.sqrt_f64(x);
         assert_eq!(r.to_f64(), 3.0);
         assert_eq!(fpu.f64_to_i32(r), 3);
-        let n = fpu.f64_to_f32(Sf64::from_f64(0.1));
-        assert_eq!(n.to_f32(), 0.1f32);
-        let w = fpu.f32_to_f64(n);
-        assert_eq!(w.to_f64(), 0.1f32 as f64);
         assert!(fpu.lt_f64(Sf64::ZERO, Sf64::ONE));
-        assert!(!fpu.lt_f32(Sf32::ONE, Sf32::ZERO));
     }
 
     #[test]
@@ -621,14 +472,5 @@ mod tests {
             stats.cycles,
             2 * costs.sign_f64 + costs.sincos_f64 + costs.cmp_f64
         );
-    }
-
-    #[test]
-    fn f64_costs_exceed_f32_costs() {
-        let c = CycleCosts::sabre_default();
-        assert!(c.add_f64 > c.add_f32);
-        assert!(c.mul_f64 > c.mul_f32);
-        assert!(c.div_f64 > c.div_f32);
-        assert!(c.sqrt_f64 > c.sqrt_f32);
     }
 }

@@ -3,8 +3,8 @@
 //! The paper: "the version of Sabre used here has no floating-point
 //! co-processor. We therefore emulated IEEE floating point operations
 //! using the Softfloat library." This module is a from-scratch Rust
-//! implementation of that layer: binary32 and binary64 add/sub/mul/
-//! div/sqrt, comparisons and conversions built from integer operations
+//! implementation of that layer: binary64 add/sub/mul/div/sqrt,
+//! comparisons and integer conversions built from integer operations
 //! only, with round-to-nearest-even, gradual underflow and NaN/infinity
 //! handling. Property tests validate every operation bit-for-bit
 //! against the host FPU.
@@ -12,12 +12,8 @@
 //! [`SoftFpu`] adds the per-operation Sabre cycle accounting used by
 //! the performance benches.
 
-pub mod convert;
-pub mod f32impl;
 pub mod f64impl;
 pub mod fpu;
 
-pub use convert::{f32_to_f64, f64_to_f32};
-pub use f32impl::Sf32;
 pub use f64impl::Sf64;
 pub use fpu::{CycleCosts, FpOp, FpuStats, SoftFpu};

@@ -12,7 +12,7 @@
 //! (about a second in release). Run it with
 //! `cargo test --release -p fpga --test softfloat_props -- --ignored`.
 
-use fpga::softfloat::{self, f32impl, f64impl, Sf32, Sf64};
+use fpga::softfloat::{f64impl, Sf64};
 use proptest::prelude::*;
 
 fn check64(got: Sf64, want: f64, what: &str) {
@@ -23,20 +23,6 @@ fn check64(got: Sf64, want: f64, what: &str) {
             got.bits(),
             want.to_bits(),
             "{what}: got {:016x} want {:016x}",
-            got.bits(),
-            want.to_bits()
-        );
-    }
-}
-
-fn check32(got: Sf32, want: f32, what: &str) {
-    if want.is_nan() {
-        assert!(got.is_nan(), "{what}: want NaN, got {:08x}", got.bits());
-    } else {
-        assert_eq!(
-            got.bits(),
-            want.to_bits(),
-            "{what}: got {:08x} want {:08x}",
             got.bits(),
             want.to_bits()
         );
@@ -172,15 +158,6 @@ fn edge_pair_strategy() -> impl Strategy<Value = (u64, u64)> {
     (any::<u64>(), any::<u64>(), any::<u64>()).prop_map(|(s, r0, r1)| edge_pair(s, r0, r1))
 }
 
-fn f32_pattern() -> impl Strategy<Value = u32> {
-    prop_oneof![
-        4 => any::<u32>(),
-        1 => any::<u32>().prop_map(|x| x | 0x7F80_0000),
-        1 => any::<u32>().prop_map(|x| x & 0x807F_FFFF),
-        1 => any::<u32>().prop_map(|x| (x & 0x807F_FFFF) | 0x3F80_0000),
-    ]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4096))]
 
@@ -231,59 +208,6 @@ proptest! {
     #[test]
     fn i32_to_f64_matches_native(x in any::<i32>()) {
         prop_assert_eq!(f64impl::from_i32(x).to_f64(), x as f64);
-    }
-
-    #[test]
-    fn f32_add_matches_native(a in f32_pattern(), b in f32_pattern()) {
-        let (fa, fb) = (f32::from_bits(a), f32::from_bits(b));
-        check32(f32impl::add(Sf32(a), Sf32(b)), fa + fb, "add32");
-    }
-
-    #[test]
-    fn f32_sub_matches_native(a in f32_pattern(), b in f32_pattern()) {
-        let (fa, fb) = (f32::from_bits(a), f32::from_bits(b));
-        check32(f32impl::sub(Sf32(a), Sf32(b)), fa - fb, "sub32");
-    }
-
-    #[test]
-    fn f32_mul_matches_native(a in f32_pattern(), b in f32_pattern()) {
-        let (fa, fb) = (f32::from_bits(a), f32::from_bits(b));
-        check32(f32impl::mul(Sf32(a), Sf32(b)), fa * fb, "mul32");
-    }
-
-    #[test]
-    fn f32_div_matches_native(a in f32_pattern(), b in f32_pattern()) {
-        let (fa, fb) = (f32::from_bits(a), f32::from_bits(b));
-        check32(f32impl::div(Sf32(a), Sf32(b)), fa / fb, "div32");
-    }
-
-    #[test]
-    fn f32_sqrt_matches_native(a in f32_pattern()) {
-        let fa = f32::from_bits(a);
-        check32(f32impl::sqrt(Sf32(a)), fa.sqrt(), "sqrt32");
-    }
-
-    #[test]
-    fn f32_to_i32_matches_native(a in f32_pattern()) {
-        let fa = f32::from_bits(a);
-        prop_assert_eq!(f32impl::to_i32_trunc(Sf32(a)), fa as i32);
-    }
-
-    #[test]
-    fn i32_to_f32_matches_native(x in any::<i32>()) {
-        prop_assert_eq!(f32impl::from_i32(x).to_f32(), x as f32);
-    }
-
-    #[test]
-    fn widen_matches_native(a in f32_pattern()) {
-        let fa = f32::from_bits(a);
-        check64(softfloat::f32_to_f64(Sf32(a)), fa as f64, "widen");
-    }
-
-    #[test]
-    fn narrow_matches_native(a in f64_pattern()) {
-        let fa = f64::from_bits(a);
-        check32(softfloat::f64_to_f32(Sf64(a)), fa as f32, "narrow");
     }
 
     #[test]

@@ -61,11 +61,6 @@ impl EulerAngles {
         Vec3::new([self.roll, self.pitch, self.yaw])
     }
 
-    /// Builds Euler angles from a `[roll, pitch, yaw]` vector.
-    pub fn from_vec3(v: Vec3) -> Self {
-        Self::new(v[0], v[1], v[2])
-    }
-
     /// Components in degrees `[roll, pitch, yaw]`.
     pub fn to_degrees(self) -> [f64; 3] {
         [

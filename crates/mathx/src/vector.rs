@@ -77,15 +77,6 @@ impl<const N: usize> Vector<N> {
         }
     }
 
-    /// Component-wise (Hadamard) product.
-    pub fn component_mul(&self, other: &Self) -> Self {
-        let mut out = [0.0; N];
-        for i in 0..N {
-            out[i] = self.data[i] * other.data[i];
-        }
-        Self::new(out)
-    }
-
     /// Component-wise absolute value.
     pub fn abs(&self) -> Self {
         let mut out = self.data;

@@ -8,7 +8,7 @@
 
 use crate::accel::{AccelConfig, CapacitiveAccel};
 use crate::gyro::{GyroConfig, RingGyro};
-use mathx::{deg_to_rad, Dcm, EulerAngles, Vec3, STANDARD_GRAVITY};
+use mathx::{Dcm, EulerAngles, Vec3, STANDARD_GRAVITY};
 use rand::Rng;
 
 /// Full-scale angular rate represented by an i16 gyro word, rad/s.
@@ -226,11 +226,6 @@ pub fn gyro_lsb() -> f64 {
 /// Accelerometer word scale factor, m/s^2 per LSB.
 pub fn accel_lsb() -> f64 {
     ACCEL_WORD_FULL_SCALE / 32768.0
-}
-
-/// Convenience: degrees/s to rad/s (re-export for protocol code).
-pub fn dps_to_rps(dps: f64) -> f64 {
-    deg_to_rad(dps)
 }
 
 #[cfg(test)]

@@ -112,14 +112,6 @@ impl RingGyro {
         &self.config
     }
 
-    /// Coriolis scale factor of the ring (rad/s of rate per unit of
-    /// relative secondary-mode amplitude) — the Bryan factor for a ring
-    /// is about 0.37; exposed for documentation and sensitivity tests.
-    pub fn coriolis_gain(&self) -> f64 {
-        // 2 * k_bryan * omega_ring, normalized by ring frequency.
-        2.0 * 0.37
-    }
-
     /// Produces one output sample from the true angular rate (rad/s).
     pub fn sample<R: Rng + ?Sized>(&mut self, true_rate: f64, rng: &mut R) -> f64 {
         // Sense-loop bandwidth limit.

@@ -197,37 +197,6 @@ fn multi_worker_fleet_epoch_steady_state_allocates_nothing() {
     assert!(stats.updates > 40_000, "the fleet actually streamed");
 }
 
-/// The explicit-SIMD lane substrate keeps the fleet's zero-allocation
-/// property: a steady-state epoch over `Fleet<SimdF64, 8>` — the same
-/// poll/dispatch/lane-group path, with every filter op lowered through
-/// the packed backend (or its portable fallback) — allocates nothing.
-#[test]
-fn simd_fleet_epoch_steady_state_allocates_nothing() {
-    use sensor_fusion_fpga::fusion::simd::SimdF64;
-
-    let audit = Audit::start();
-    let mut fleet: Fleet<SimdF64, 8> = Fleet::new(FleetConfig::default());
-    for i in 0..256u64 {
-        let spec = catalog::paper_static()
-            .with_duration(3_600.0)
-            .with_seed(50_000 + i);
-        fleet.admit(&spec).expect("catalog tuning is compatible");
-    }
-    fleet.run_epochs(5, 1);
-    let before = audit.allocations();
-    fleet.run_epochs(50, 1);
-    let after = audit.allocations();
-    assert_eq!(
-        after - before,
-        0,
-        "SIMD fleet epoch loop allocated {} times in steady state",
-        after - before
-    );
-    let stats = fleet.stats();
-    assert_eq!(stats.vehicles, 256, "nobody was evicted mid-audit");
-    assert!(stats.updates > 10_000, "the fleet actually streamed");
-}
-
 /// The adaptive supervisor between switches: the context monitor is
 /// plain counters and the policy verdict is a stack value, so once
 /// the hysteresis supervisor has escaped the collapsing Q16.16

@@ -8,29 +8,25 @@
 //! measurements — across random scenarios and seeds, including gate
 //! rejections and trust-region clamps — and a `LaneBank`-backed
 //! session matches the equivalent bank of scalar estimator sessions.
-//! The same contract is pinned for the explicit-SIMD `SimdF64`
-//! substrate under masked stepping (per-lane `dt`, per-lane activity),
-//! on whichever backend the `simd` feature selects.
+//! The same contract is pinned under masked stepping (per-lane `dt`,
+//! per-lane activity), the way the fleet arena drives its lane groups.
 
 use proptest::prelude::*;
-use sensor_fusion_fpga::fusion::arith::{F64Arith, LaneSpec};
+use sensor_fusion_fpga::fusion::arith::F64Arith;
 use sensor_fusion_fpga::fusion::filter::{FilterConfig, GenericBoresightFilter};
 use sensor_fusion_fpga::fusion::lanes::{LaneBank, LaneIekf};
 use sensor_fusion_fpga::fusion::scenario::ScenarioConfig;
 use sensor_fusion_fpga::fusion::session::{ChannelConfig, FusionSession, SyntheticSource};
-use sensor_fusion_fpga::fusion::simd::{F64Lanes, SimdF64};
 use sensor_fusion_fpga::fusion::EstimatorConfig;
 use sensor_fusion_fpga::math::{EulerAngles, Vec2, Vec3, STANDARD_GRAVITY};
 use sensor_fusion_fpga::motion::TiltTable;
 
 const LANES: usize = 3;
 
-fn assert_lane_matches_scalar<A>(
-    lanes: &LaneIekf<A, LANES>,
+fn assert_lane_matches_scalar(
+    lanes: &LaneIekf<F64Arith, LANES>,
     scalars: &[GenericBoresightFilter<F64Arith>],
-) where
-    A: LaneSpec<LANES> + Clone + Default,
-{
+) {
     for (lane, kf) in scalars.iter().enumerate() {
         let a = kf.angles();
         let b = lanes.angles(lane);
@@ -234,14 +230,14 @@ fn lane_bank_session_matches_scalar_sessions() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The explicit-SIMD substrate under **masked stepping** — per-lane
+    /// The lane filter under **masked stepping** — per-lane
     /// `dt` through `predict_lanes` plus `update_lanes_masked` with a
     /// random activity mask — stays bit-identical, lane for lane, to
     /// scalar filters that simply skip the inactive steps. Inactive
     /// lanes carry poisoned measurements (far-outlier values) to prove
     /// the mask really isolates them.
     #[test]
-    fn simd_lane_filter_matches_scalar_under_masked_stepping(
+    fn lane_filter_matches_scalar_under_masked_stepping(
         steps in prop::collection::vec(
             (
                 prop::array::uniform3((-0.3_f64..0.3, -0.3_f64..0.3)),
@@ -253,7 +249,7 @@ proptest! {
         ),
     ) {
         let cfg = FilterConfig::paper_static();
-        let mut lanes: LaneIekf<SimdF64, LANES> = LaneIekf::new(cfg);
+        let mut lanes: LaneIekf<F64Arith, LANES> = LaneIekf::new(cfg);
         let mut scalars: Vec<GenericBoresightFilter<F64Arith>> =
             (0..LANES).map(|_| GenericBoresightFilter::new(cfg)).collect();
         let mut t = [0.0_f64; LANES];
@@ -271,10 +267,10 @@ proptest! {
                     Vec2::new([1e6, -1e6]) // must never leak through the mask
                 }
             });
-            let fb: [F64Lanes<LANES>; 3] = [
-                F64Lanes::new(std::array::from_fn(|l| fs[l].0)),
-                F64Lanes::new(std::array::from_fn(|l| fs[l].1)),
-                F64Lanes::new(std::array::from_fn(|l| fs[l].2)),
+            let fb: [[f64; LANES]; 3] = [
+                std::array::from_fn(|l| fs[l].0),
+                std::array::from_fn(|l| fs[l].1),
+                std::array::from_fn(|l| fs[l].2),
             ];
             lanes.predict_lanes(&lane_dts);
             let updates = lanes.update_lanes_masked(&z, fb, &t, active);
